@@ -38,7 +38,8 @@ void BM_EvalAllPairs(benchmark::State& state, const std::string& query_text) {
   int64_t answers = 0;
   ScopedMetricsCounters metrics(state);
   for (auto _ : state) {
-    answers = static_cast<int64_t>(EvalRpqiAllPairs(db, query).size());
+    answers = static_cast<int64_t>(
+        EvalRpqiAllPairs(db, CompileEvalPlan(query)).size());
     benchmark::DoNotOptimize(answers);
   }
   state.counters["nodes"] = options.num_nodes;
@@ -56,10 +57,12 @@ void BM_EvalSingleSource(benchmark::State& state,
   GraphDb db = RandomGraph(rng, options);
   SignedAlphabet alphabet;
   Nfa query = MakeQuery(query_text, &alphabet);
+  const FlatNfa plan = CompileEvalPlan(query);
+  EvalScratch scratch;
 
   ScopedMetricsCounters metrics(state);
   for (auto _ : state) {
-    Bitset reachable = EvalRpqiFrom(db, query, 0);
+    Bitset reachable = EvalRpqiFrom(db, plan, 0, &scratch);
     benchmark::DoNotOptimize(reachable.Count());
   }
   state.counters["nodes"] = options.num_nodes;
@@ -121,7 +124,8 @@ void BM_EvalLabelSkew(benchmark::State& state, bool use_csr) {
   int64_t answers = 0;
   ScopedMetricsCounters metrics(state);
   for (auto _ : state) {
-    answers = static_cast<int64_t>(EvalRpqiAllPairs(db, query).size());
+    answers = static_cast<int64_t>(
+        EvalRpqiAllPairs(db, CompileEvalPlan(query)).size());
     benchmark::DoNotOptimize(answers);
   }
   state.counters["nodes"] = options.num_nodes;

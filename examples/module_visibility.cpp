@@ -36,10 +36,13 @@ int main(int argc, char** argv) {
               RegexToString(scenario.visibility_query).c_str());
 
   Nfa query = MustCompileRegex(scenario.visibility_query, scenario.alphabet);
+  const FlatNfa plan = CompileEvalPlan(query);
 
-  // Direct evaluation: visibility sets per module.
+  // Direct evaluation: visibility sets per module, one plan and one scratch
+  // for every run.
+  EvalScratch scratch;
   for (int m = 0; m < num_modules; ++m) {
-    Bitset visible = EvalRpqiFrom(scenario.db, query, m);
+    Bitset visible = EvalRpqiFrom(scenario.db, plan, m, &scratch);
     std::printf("  visible in %-9s:", std::string(scenario.db.NodeName(m)).c_str());
     for (int x = visible.NextSetBit(0); x >= 0; x = visible.NextSetBit(x + 1)) {
       std::printf(" %s", std::string(scenario.db.NodeName(x)).c_str());
@@ -66,11 +69,11 @@ int main(int argc, char** argv) {
 
   std::vector<std::vector<std::pair<int, int>>> extensions;
   for (const Nfa& view : views) {
-    extensions.push_back(EvalRpqiAllPairs(scenario.db, view));
+    extensions.push_back(EvalRpqiAllPairs(scenario.db, CompileEvalPlan(view)));
   }
   auto from_views =
       EvaluateRewriting(rewriting->dfa, scenario.db.NumNodes(), extensions);
-  auto direct = EvalRpqiAllPairs(scenario.db, query);
+  auto direct = EvalRpqiAllPairs(scenario.db, plan, &scratch);
   std::printf("view-based answers: %zu pairs; direct answers: %zu pairs; %s\n",
               from_views.size(), direct.size(),
               from_views == direct ? "identical" : "DIFFER");

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
        {MustParseRegex("sameVenue")}},
   };
 
-  auto direct = EvalRpqiAllPairs(db, query);
+  auto direct = EvalRpqiAllPairs(db, CompileEvalPlan(query));
   std::printf(
       "query: %s  — direct evaluation: %zu answers, %lld edges scanned\n",
       RegexToString(query_expr).c_str(), direct.size(),
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
     std::vector<std::vector<std::pair<int, int>>> extensions;
     int view_edges = 0;
     for (const Nfa& view : views) {
-      extensions.push_back(EvalRpqiAllPairs(db, view));
+      extensions.push_back(EvalRpqiAllPairs(db, CompileEvalPlan(view)));
       view_edges += static_cast<int>(extensions.back().size());
     }
     bool exact = !rewriting->empty &&

@@ -75,7 +75,7 @@ int main() {
   // --- 5. Materialize the views and answer the query from them alone.
   std::vector<std::vector<std::pair<int, int>>> extensions;
   for (const Nfa& view : views) {
-    extensions.push_back(EvalRpqiAllPairs(*db, view));
+    extensions.push_back(EvalRpqiAllPairs(*db, CompileEvalPlan(view)));
   }
   auto answers = EvaluateRewriting(rewriting->dfa, db->NumNodes(), extensions);
   std::printf("answers computed from the views:\n");
@@ -85,7 +85,7 @@ int main() {
   }
 
   // --- 6. Sanity: compare with direct evaluation on the raw database.
-  auto direct = EvalRpqiAllPairs(*db, query);
+  auto direct = EvalRpqiAllPairs(*db, CompileEvalPlan(query));
   std::printf("direct evaluation agrees: %s\n",
               answers == direct ? "yes" : "NO (rewriting not exact here)");
   return 0;

@@ -1,11 +1,12 @@
 #include "answer/cda.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "analysis/validate.h"
-#include "automata/ops.h"
 #include "graphdb/eval.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -20,9 +21,6 @@ struct CandidateEdges {
   int num_relations;
 
   int Count() const { return num_objects * num_objects * num_relations; }
-  int IndexOf(int from, int relation, int to) const {
-    return (from * num_objects + to) * num_relations + relation;
-  }
   void Decode(int index, int* from, int* relation, int* to) const {
     *relation = index % num_relations;
     index /= num_relations;
@@ -30,6 +28,26 @@ struct CandidateEdges {
     *from = index / num_objects;
   }
 };
+
+/// The candidate space of `instance`: |D_V|² · |Σ| edges, computed in 64
+/// bits. The solver indexes edges with int and sizes its edge-state array by
+/// the count, so a space past the int range is rejected here, before
+/// anything is allocated: a wrapped count would make the search silently
+/// wrong or abort the process.
+StatusOr<CandidateEdges> CandidateSpace(const AnsweringInstance& instance) {
+  CandidateEdges space{instance.num_objects, instance.query.num_symbols() / 2};
+  const int64_t count = int64_t{space.num_objects} * space.num_objects *
+                        space.num_relations;
+  if (count > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(
+        "CDA candidate space of " + std::to_string(space.num_objects) +
+        " objects x " + std::to_string(space.num_objects) + " objects x " +
+        std::to_string(space.num_relations) + " relations = " +
+        std::to_string(count) + " edges exceeds " +
+        std::to_string(std::numeric_limits<int>::max()));
+  }
+  return space;
+}
 
 enum EdgeState : char { kUnknown = 0, kIn = 1, kOut = 2 };
 
@@ -51,35 +69,42 @@ GraphDb BuildGraph(const CandidateEdges& space,
 }
 
 bool PairsSubset(const std::vector<std::pair<int, int>>& pairs,
-                 const GraphDb& db, const Nfa& query) {
+                 const GraphDb& db, const FlatNfa& plan,
+                 EvalScratch* scratch) {
   for (const auto& [a, b] : pairs) {
-    if (!EvalRpqiPair(db, query, a, b)) return false;
+    if (!EvalRpqiPair(db, plan, a, b, scratch)) return false;
   }
   return true;
 }
 
-bool AnswersWithin(const GraphDb& db, const Nfa& query,
-                   const std::vector<std::pair<int, int>>& allowed) {
+bool AnswersWithin(const GraphDb& db, const FlatNfa& plan,
+                   const std::vector<std::pair<int, int>>& allowed,
+                   EvalScratch* scratch) {
   std::set<std::pair<int, int>> allowed_set(allowed.begin(), allowed.end());
-  for (const auto& pair : EvalRpqiAllPairs(db, query)) {
+  for (const auto& pair : EvalRpqiAllPairs(db, plan, scratch)) {
     if (allowed_set.find(pair) == allowed_set.end()) return false;
   }
   return true;
 }
 
-/// Is `db` consistent with every view of the instance?
-bool ConsistentWithViews(const AnsweringInstance& instance, const GraphDb& db) {
-  for (const View& view : instance.views) {
+/// Is `db` consistent with every view of the instance? `view_plans[i]` is
+/// the compiled definition of view i.
+bool ConsistentWithViews(const AnsweringInstance& instance,
+                         const std::vector<FlatNfa>& view_plans,
+                         const GraphDb& db, EvalScratch* scratch) {
+  for (size_t i = 0; i < instance.views.size(); ++i) {
+    const View& view = instance.views[i];
+    const FlatNfa& plan = view_plans[i];
     switch (view.assumption) {
       case ViewAssumption::kSound:
-        if (!PairsSubset(view.extension, db, view.definition)) return false;
+        if (!PairsSubset(view.extension, db, plan, scratch)) return false;
         break;
       case ViewAssumption::kComplete:
-        if (!AnswersWithin(db, view.definition, view.extension)) return false;
+        if (!AnswersWithin(db, plan, view.extension, scratch)) return false;
         break;
       case ViewAssumption::kExact:
-        if (!PairsSubset(view.extension, db, view.definition)) return false;
-        if (!AnswersWithin(db, view.definition, view.extension)) return false;
+        if (!PairsSubset(view.extension, db, plan, scratch)) return false;
+        if (!AnswersWithin(db, plan, view.extension, scratch)) return false;
         break;
     }
   }
@@ -91,21 +116,23 @@ bool ConsistentWithViews(const AnsweringInstance& instance, const GraphDb& db) {
 /// present (`want_query_pair == true`, possible-answer witness).
 class CdaSolver {
  public:
-  CdaSolver(const AnsweringInstance& instance, int c, int d,
-            bool want_query_pair, int64_t max_nodes, Budget* budget)
+  /// Compiles the query and every view definition once: every evaluation
+  /// of the search runs on these plans and on one scratch.
+  CdaSolver(const AnsweringInstance& instance, const CandidateEdges& space,
+            int c, int d, bool want_query_pair, int64_t max_nodes,
+            Budget* budget)
       : instance_(instance),
+        space_(space),
         c_(c),
         d_(d),
         want_query_pair_(want_query_pair),
         max_nodes_(max_nodes),
-        budget_(budget) {
-    space_.num_objects = instance.num_objects;
-    space_.num_relations = instance.query.num_symbols() / 2;
-    eps_free_views_.reserve(instance.views.size());
+        budget_(budget),
+        query_plan_(CompileEvalPlan(instance.query)) {
+    view_plans_.reserve(instance.views.size());
     for (const View& view : instance.views) {
-      eps_free_views_.push_back(RemoveEpsilon(view.definition));
+      view_plans_.push_back(CompileEvalPlan(view.definition));
     }
-    eps_free_query_ = RemoveEpsilon(instance.query);
   }
 
   /// Returns the witness database, nullopt if none exists, or a status on
@@ -150,19 +177,21 @@ class CdaSolver {
       bool needs_upper_bound = view.assumption != ViewAssumption::kSound;
       // ext ⊆ ans must be achievable: ans over U is the best case.
       if (needs_lower_bound &&
-          !PairsSubset(view.extension, upper, eps_free_views_[i])) {
+          !PairsSubset(view.extension, upper, view_plans_[i], &scratch_)) {
         return Status::Ok();
       }
       // ans ⊆ ext must be achievable: ans over L is the least case.
       if (needs_upper_bound &&
-          !AnswersWithin(lower, eps_free_views_[i], view.extension)) {
+          !AnswersWithin(lower, view_plans_[i], view.extension, &scratch_)) {
         return Status::Ok();
       }
     }
-    if (!want_query_pair_ && EvalRpqiPair(lower, eps_free_query_, c_, d_)) {
+    if (!want_query_pair_ &&
+        EvalRpqiPair(lower, query_plan_, c_, d_, &scratch_)) {
       return Status::Ok();  // (c,d) already forced into the answer
     }
-    if (want_query_pair_ && !EvalRpqiPair(upper, eps_free_query_, c_, d_)) {
+    if (want_query_pair_ &&
+        !EvalRpqiPair(upper, query_plan_, c_, d_, &scratch_)) {
       return Status::Ok();  // (c,d) can no longer be answered
     }
 
@@ -200,7 +229,8 @@ class CdaSolver {
   }
 
   bool QueryGoalMet(const GraphDb& db) {
-    return EvalRpqiPair(db, eps_free_query_, c_, d_) == want_query_pair_;
+    return EvalRpqiPair(db, query_plan_, c_, d_, &scratch_) ==
+           want_query_pair_;
   }
 
   /// True if the lower graph L is consistent and meets the query goal — an
@@ -212,11 +242,11 @@ class CdaSolver {
       bool needs_lower_bound = view.assumption != ViewAssumption::kComplete;
       bool needs_upper_bound = view.assumption != ViewAssumption::kSound;
       if (needs_lower_bound &&
-          !PairsSubset(view.extension, lower, eps_free_views_[i])) {
+          !PairsSubset(view.extension, lower, view_plans_[i], &scratch_)) {
         return false;
       }
       if (needs_upper_bound &&
-          !AnswersWithin(lower, eps_free_views_[i], view.extension)) {
+          !AnswersWithin(lower, view_plans_[i], view.extension, &scratch_)) {
         return false;
       }
     }
@@ -224,14 +254,15 @@ class CdaSolver {
   }
 
   const AnsweringInstance& instance_;
+  CandidateEdges space_;
   int c_;
   int d_;
   bool want_query_pair_;
   int64_t max_nodes_;
   Budget* budget_;
-  CandidateEdges space_;
-  std::vector<Nfa> eps_free_views_;
-  Nfa eps_free_query_{0};
+  FlatNfa query_plan_;
+  std::vector<FlatNfa> view_plans_;
+  EvalScratch scratch_;
   int64_t nodes_visited_ = 0;
 };
 
@@ -240,7 +271,8 @@ class CdaSolver {
 StatusOr<CdaResult> CertainAnswerCda(const AnsweringInstance& instance, int c,
                                      int d, const CdaOptions& options) {
   CheckInstance(instance);
-  CdaSolver solver(instance, c, d, /*want_query_pair=*/false,
+  RPQI_ASSIGN_OR_RETURN(CandidateEdges space, CandidateSpace(instance));
+  CdaSolver solver(instance, space, c, d, /*want_query_pair=*/false,
                    options.max_nodes, options.budget);
   StatusOr<CdaResult> result = solver.Solve();
   if (!result.ok()) return result;
@@ -252,7 +284,8 @@ StatusOr<CdaResult> CertainAnswerCda(const AnsweringInstance& instance, int c,
 StatusOr<CdaResult> PossibleAnswerCda(const AnsweringInstance& instance, int c,
                                       int d, const CdaOptions& options) {
   CheckInstance(instance);
-  CdaSolver solver(instance, c, d, /*want_query_pair=*/true,
+  RPQI_ASSIGN_OR_RETURN(CandidateEdges space, CandidateSpace(instance));
+  CdaSolver solver(instance, space, c, d, /*want_query_pair=*/true,
                    options.max_nodes, options.budget);
   StatusOr<CdaResult> result = solver.Solve();
   if (!result.ok()) return result;
@@ -263,9 +296,16 @@ StatusOr<CdaResult> PossibleAnswerCda(const AnsweringInstance& instance, int c,
 bool CertainAnswerCdaBruteForce(const AnsweringInstance& instance, int c,
                                 int d) {
   CheckInstance(instance);
-  CandidateEdges space{instance.num_objects, instance.query.num_symbols() / 2};
-  RPQI_CHECK_LE(space.Count(), 24) << "brute force oracle limited to 2^24 DBs";
-  Nfa query = RemoveEpsilon(instance.query);
+  StatusOr<CandidateEdges> candidates = CandidateSpace(instance);
+  RPQI_CHECK(candidates.ok() && candidates->Count() <= 24)
+      << "brute force oracle limited to 2^24 DBs";
+  const CandidateEdges& space = *candidates;
+  const FlatNfa query = CompileEvalPlan(instance.query);
+  std::vector<FlatNfa> view_plans;
+  for (const View& view : instance.views) {
+    view_plans.push_back(CompileEvalPlan(view.definition));
+  }
+  EvalScratch scratch;
 
   for (uint32_t mask = 0; mask < (uint32_t{1} << space.Count()); ++mask) {
     std::vector<char> edge_state(space.Count(), kOut);
@@ -273,8 +313,9 @@ bool CertainAnswerCdaBruteForce(const AnsweringInstance& instance, int c,
       if ((mask >> index) & 1) edge_state[index] = kIn;
     }
     GraphDb db = BuildGraph(space, edge_state, /*include_unknown=*/false);
-    if (!ConsistentWithViews(instance, db)) continue;
-    if (!EvalRpqiPair(db, query, c, d)) return false;  // counterexample
+    if (!ConsistentWithViews(instance, view_plans, db, &scratch)) continue;
+    // A consistent database without (c,d): a counterexample.
+    if (!EvalRpqiPair(db, query, c, d, &scratch)) return false;
   }
   return true;
 }

@@ -35,7 +35,9 @@ struct CdaResult {
 /// D_V × Σ' × D_V by backtracking with three-valued edge states and
 /// monotonicity-based pruning: RPQI answers grow with the edge set, so the
 /// forced-in lower graph bounds ans from below and the not-yet-excluded upper
-/// graph bounds it from above.
+/// graph bounds it from above. The query and each view definition are
+/// compiled to eval plans once per call. A candidate space |D_V|² · |Σ| past
+/// the int range is InvalidArgument.
 StatusOr<CdaResult> CertainAnswerCda(const AnsweringInstance& instance, int c,
                                      int d, const CdaOptions& options = {});
 

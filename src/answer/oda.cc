@@ -388,9 +388,11 @@ StatusOr<OdaResult> PossibleAnswerOda(const AnsweringInstance& instance, int c,
 
 bool VerifyOdaCounterexample(const AnsweringInstance& instance, int c, int d,
                              const GraphDb& db) {
+  EvalScratch scratch;
   for (const View& view : instance.views) {
     std::set<std::pair<int, int>> answers;
-    for (const auto& pair : EvalRpqiAllPairs(db, view.definition)) {
+    for (const auto& pair :
+         EvalRpqiAllPairs(db, CompileEvalPlan(view.definition), &scratch)) {
       answers.insert(pair);
     }
     std::set<std::pair<int, int>> extension(view.extension.begin(),
@@ -411,7 +413,7 @@ bool VerifyOdaCounterexample(const AnsweringInstance& instance, int c, int d,
         break;
     }
   }
-  return !EvalRpqiPair(db, instance.query, c, d);
+  return !EvalRpqiPair(db, CompileEvalPlan(instance.query), c, d, &scratch);
 }
 
 }  // namespace rpqi

@@ -143,11 +143,13 @@ std::vector<AtomRelation> MaterializeAtoms(const GraphDb& db,
                                            const ConjunctiveRpqi& query) {
   std::vector<AtomRelation> relations;
   relations.reserve(query.atoms.size());
+  EvalScratch scratch;
   for (const CrpqAtom& atom : query.atoms) {
     AtomRelation relation;
     relation.from_variable = atom.from_variable;
     relation.to_variable = atom.to_variable;
-    relation.pairs = EvalRpqiAllPairs(db, atom.automaton);
+    relation.pairs =
+        EvalRpqiAllPairs(db, CompileEvalPlan(atom.automaton), &scratch);
     for (const auto& [x, y] : relation.pairs) {
       relation.by_from[x].push_back(y);
       relation.by_to[y].push_back(x);

@@ -1,7 +1,10 @@
 #include "graphdb/eval.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <span>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -9,190 +12,213 @@
 
 namespace rpqi {
 
-namespace {
+/// The one product BFS every eval entry point runs on (DESIGN.md §16).
+class EvalKernel {
+ public:
+  /// Discovers the (state, node) configurations reachable from `start_node`
+  /// in every initial state and marks in `scratch.answers_` the nodes reached
+  /// in an accepting state. Charges one budget unit per discovered
+  /// configuration and checks the budget on every expansion.
+  ///
+  /// The inner loop walks the plan's contiguous edge span for the expanded
+  /// state against the graph's per-(relation, direction) CSR span — two flat
+  /// arrays, no per-state pointer chasing on either side.
+  static Status Run(const GraphDb& db, const FlatNfa& plan, int start_node,
+                    Budget* budget, EvalScratch& scratch) {
+    // Counters are accumulated in locals and flushed once per BFS: this runs
+    // once per (start node, probe) inside the CDA search, so per-config
+    // atomic traffic would dominate the loop.
+    static const obs::Counter bfs_runs("eval.bfs_runs");
+    static const obs::Counter configurations("eval.configurations");
+    static const obs::Counter csr_runs("eval.csr_runs");
+    static const obs::Counter scan_runs("eval.scan_runs");
+    RPQI_CHECK(0 <= start_node && start_node < db.NumNodes());
+    const bool use_csr = db.has_label_index();
+    const int num_states = plan.NumStates();
 
-/// Shared BFS core: reachable (state, node) configurations from `start_node`
-/// in all initial states. Returns visited flags indexed [node * states + s].
-/// Charges one budget unit per discovered configuration and checks the budget
-/// on every expansion; a null budget is unlimited.
-///
-/// The inner loop walks the plan's contiguous edge span for the expanded
-/// state against the graph's per-(relation, direction) CSR span — two flat
-/// arrays, no per-state pointer chasing on either side (DESIGN.md §16).
-StatusOr<std::vector<char>> ReachableConfigurations(const GraphDb& db,
-                                                    const FlatNfa& plan,
-                                                    int start_node,
-                                                    Budget* budget) {
-  // Counters are accumulated in locals and flushed once per BFS: this runs
-  // once per (start node, probe) inside the CDA search, so per-config atomic
-  // traffic would dominate the loop.
-  static const obs::Counter bfs_runs("eval.bfs_runs");
-  static const obs::Counter configurations("eval.configurations");
-  static const obs::Counter csr_runs("eval.csr_runs");
-  static const obs::Counter scan_runs("eval.scan_runs");
-  const bool use_csr = db.has_label_index();
-  int64_t discovered = 0;
-  const int num_states = plan.NumStates();
-  std::vector<char> visited(static_cast<size_t>(db.NumNodes()) * num_states,
-                            0);
-  std::vector<std::pair<int, int>> stack;  // (state, node)
-  Status charge_status = Status::Ok();
-  auto visit = [&](int state, int node) {
-    size_t index = static_cast<size_t>(node) * num_states + state;
-    if (!visited[index]) {
-      visited[index] = 1;
-      ++discovered;
-      if (charge_status.ok()) charge_status = BudgetCharge(budget, 1);
-      stack.push_back({state, node});
+    // Every stamp is at most epoch_, so the next epoch marks nothing as seen:
+    // growing zero-extends, and a wrap re-zeroes the table once.
+    std::vector<uint16_t>& stamps = scratch.stamps_;
+    const size_t cells = static_cast<size_t>(db.NumNodes()) * num_states;
+    if (stamps.size() < cells) stamps.resize(cells, 0);
+    if (scratch.epoch_ == std::numeric_limits<uint16_t>::max()) {
+      std::fill(stamps.begin(), stamps.end(), 0);
+      scratch.epoch_ = 0;
     }
-  };
-  for (int32_t s : plan.InitialStates()) visit(s, start_node);
+    const uint16_t epoch = ++scratch.epoch_;
+    // A pair query or a failed run leaves its answers marked, and a failed
+    // run leaves its stack.
+    ClearAnswers(scratch);
+    const size_t words = (static_cast<size_t>(db.NumNodes()) + 63) / 64;
+    if (scratch.answers_.size() < words) scratch.answers_.resize(words, 0);
+    std::vector<std::pair<int, int>>& stack = scratch.stack_;
+    stack.clear();
 
-  auto flush = [&] {
-    bfs_runs.Increment();
-    configurations.Add(discovered);
-    // Which adjacency path this run took (CSR spans vs filtered row scan) —
-    // the pair partitions eval.bfs_runs, so a snapshot unexpectedly serving
-    // without its label index shows up in the counter dump.
-    (use_csr ? csr_runs : scan_runs).Increment();
-  };
-  while (!stack.empty()) {
-    if (!charge_status.ok()) {
-      flush();
-      return charge_status;
-    }
-    if (Status check = BudgetCheck(budget); !check.ok()) {
-      flush();
-      return check;
-    }
-    auto [state, node] = stack.back();
-    stack.pop_back();
-    for (const FlatNfa::Edge& t : plan.Edges(state)) {
-      int relation = SignedAlphabet::RelationOfSymbol(t.symbol);
-      bool inverse = SignedAlphabet::IsInverseSymbol(t.symbol);
-      if (use_csr) {
-        // Contiguous span of exactly the edges carrying this label — the
-        // whole point of the CSR-by-(relation, direction) layout. Iteration
-        // order within a span is sorted rather than insertion order; the
-        // visited *set* is order-independent, so results are bit-identical
-        // to the scan path.
-        std::span<const uint32_t> targets = inverse
-                                                ? db.InTargets(node, relation)
-                                                : db.OutTargets(node, relation);
-        for (uint32_t other : targets) visit(t.to, static_cast<int>(other));
-      } else if (inverse) {
-        for (const GraphDb::Edge& e : db.InEdges(node)) {
-          if (e.relation == relation) visit(t.to, e.to);
+    // Raw pointers: the stack's push_back may reallocate, and the compiler
+    // would otherwise reload these through `scratch` after every push.
+    uint16_t* const seen = stamps.data();
+    uint64_t* const answers = scratch.answers_.data();
+    int lo = db.NumNodes();
+    int hi = -1;
+    int64_t discovered = 0;
+    Status charge_status = Status::Ok();
+    auto visit = [&](int state, int node) {
+      uint16_t& stamp = seen[static_cast<size_t>(node) * num_states + state];
+      if (stamp != epoch) {
+        stamp = epoch;
+        ++discovered;
+        if (charge_status.ok()) charge_status = BudgetCharge(budget, 1);
+        stack.push_back({state, node});
+        if (plan.IsAccepting(state)) {
+          answers[node >> 6] |= uint64_t{1} << (node & 63);
+          lo = std::min(lo, node);
+          hi = std::max(hi, node);
         }
-      } else {
-        for (const GraphDb::Edge& e : db.OutEdges(node)) {
-          if (e.relation == relation) visit(t.to, e.to);
+      }
+    };
+    for (int32_t s : plan.InitialStates()) visit(s, start_node);
+
+    auto flush = [&] {
+      scratch.answers_lo_ = lo;
+      scratch.answers_hi_ = hi;
+      bfs_runs.Increment();
+      configurations.Add(discovered);
+      // Which adjacency path this run took (CSR spans vs filtered row scan)
+      // — the pair partitions eval.bfs_runs, so a snapshot unexpectedly
+      // serving without its label index shows up in the counter dump.
+      (use_csr ? csr_runs : scan_runs).Increment();
+    };
+    while (!stack.empty()) {
+      if (!charge_status.ok()) {
+        flush();
+        return charge_status;
+      }
+      if (Status check = BudgetCheck(budget); !check.ok()) {
+        flush();
+        return check;
+      }
+      auto [state, node] = stack.back();
+      stack.pop_back();
+      for (const FlatNfa::Edge& t : plan.Edges(state)) {
+        int relation = SignedAlphabet::RelationOfSymbol(t.symbol);
+        bool inverse = SignedAlphabet::IsInverseSymbol(t.symbol);
+        if (use_csr) {
+          // Contiguous span of exactly the edges carrying this label — the
+          // whole point of the CSR-by-(relation, direction) layout. Iteration
+          // order within a span is sorted rather than insertion order; the
+          // visited *set* is order-independent, so results are bit-identical
+          // to the scan path.
+          std::span<const uint32_t> targets =
+              inverse ? db.InTargets(node, relation)
+                      : db.OutTargets(node, relation);
+          for (uint32_t other : targets) visit(t.to, static_cast<int>(other));
+        } else if (inverse) {
+          for (const GraphDb::Edge& e : db.InEdges(node)) {
+            if (e.relation == relation) visit(t.to, e.to);
+          }
+        } else {
+          for (const GraphDb::Edge& e : db.OutEdges(node)) {
+            if (e.relation == relation) visit(t.to, e.to);
+          }
         }
       }
     }
+    flush();
+    return charge_status;
   }
-  flush();
-  RPQI_RETURN_IF_ERROR(charge_status);
-  return visited;
-}
 
-}  // namespace
+  /// Whether the last run reached `node` in an accepting state.
+  static bool Answered(const EvalScratch& scratch, int node) {
+    return (scratch.answers_[node >> 6] >> (node & 63)) & 1;
+  }
+
+  /// Calls `emit(node)` for every answer of the last run in ascending node
+  /// order, clearing the marks as it goes.
+  template <typename Emit>
+  static void DrainAnswers(EvalScratch& scratch, Emit emit) {
+    for (int w = scratch.answers_lo_ >> 6; w <= scratch.answers_hi_ >> 6;
+         ++w) {
+      for (uint64_t bits = std::exchange(scratch.answers_[w], 0); bits != 0;
+           bits &= bits - 1) {
+        emit((w << 6) + std::countr_zero(bits));
+      }
+    }
+    scratch.answers_hi_ = -1;
+  }
+
+ private:
+  static void ClearAnswers(EvalScratch& scratch) {
+    DrainAnswers(scratch, [](int) {});
+  }
+};
 
 FlatNfa CompileEvalPlan(const Nfa& query) {
-  // One compile per *query*, never per source node: the all-pairs sweep and
-  // the serving layer both hinge on this staying O(1) in the node count, and
-  // the counter is the regression tripwire.
   static const obs::Counter plan_compiles("eval.plan_compiles");
   plan_compiles.Increment();
   return CompileFlat(query);
 }
 
 StatusOr<Bitset> EvalRpqiFromWithBudget(const GraphDb& db, const FlatNfa& plan,
-                                        int start_node, Budget* budget) {
-  RPQI_CHECK(0 <= start_node && start_node < db.NumNodes());
-  const int num_states = plan.NumStates();
-  RPQI_ASSIGN_OR_RETURN(std::vector<char> visited,
-                        ReachableConfigurations(db, plan, start_node, budget));
-
+                                        int start_node, Budget* budget,
+                                        EvalScratch* scratch) {
+  EvalScratch local;
+  EvalScratch& s = scratch != nullptr ? *scratch : local;
+  RPQI_RETURN_IF_ERROR(EvalKernel::Run(db, plan, start_node, budget, s));
   Bitset answer(db.NumNodes());
-  for (int node = 0; node < db.NumNodes(); ++node) {
-    for (int s = 0; s < num_states; ++s) {
-      if (plan.IsAccepting(s) &&
-          visited[static_cast<size_t>(node) * num_states + s]) {
-        answer.Set(node);
-        break;
-      }
-    }
-  }
+  EvalKernel::DrainAnswers(s, [&](int node) { answer.Set(node); });
   return answer;
 }
 
 StatusOr<std::vector<std::pair<int, int>>> EvalRpqiAllPairsWithBudget(
-    const GraphDb& db, const FlatNfa& plan, Budget* budget) {
-  // Per-pair/per-start spans would flood the trace (the CDA search calls the
-  // single-source variants thousands of times); only the all-pairs sweep is
+    const GraphDb& db, const FlatNfa& plan, Budget* budget,
+    EvalScratch* scratch) {
+  // Per-pair/per-start spans would flood the trace (the CDA search runs the
+  // single-source kernel thousands of times); only the all-pairs sweep is
   // coarse enough to be worth a span.
   obs::Span span("eval.all_pairs");
+  EvalScratch local;
+  EvalScratch& s = scratch != nullptr ? *scratch : local;
   std::vector<std::pair<int, int>> answer;
+  // Each source's answers drain in node order and sources ascend, so the
+  // list comes out sorted.
   for (int x = 0; x < db.NumNodes(); ++x) {
-    RPQI_ASSIGN_OR_RETURN(Bitset reachable,
-                          EvalRpqiFromWithBudget(db, plan, x, budget));
-    for (int y = reachable.NextSetBit(0); y >= 0;
-         y = reachable.NextSetBit(y + 1)) {
-      answer.push_back({x, y});
-    }
+    RPQI_RETURN_IF_ERROR(EvalKernel::Run(db, plan, x, budget, s));
+    EvalKernel::DrainAnswers(s, [&](int y) { answer.push_back({x, y}); });
   }
-  std::sort(answer.begin(), answer.end());
   return answer;
 }
 
 StatusOr<bool> EvalRpqiPairWithBudget(const GraphDb& db, const FlatNfa& plan,
-                                      int from, int to, Budget* budget) {
+                                      int from, int to, Budget* budget,
+                                      EvalScratch* scratch) {
   RPQI_CHECK(0 <= to && to < db.NumNodes());
-  RPQI_ASSIGN_OR_RETURN(Bitset reachable,
-                        EvalRpqiFromWithBudget(db, plan, from, budget));
-  return reachable.Test(to);
+  EvalScratch local;
+  EvalScratch& s = scratch != nullptr ? *scratch : local;
+  RPQI_RETURN_IF_ERROR(EvalKernel::Run(db, plan, from, budget, s));
+  return EvalKernel::Answered(s, to);
 }
 
-StatusOr<Bitset> EvalRpqiFromWithBudget(const GraphDb& db,
-                                        const Nfa& query_input, int start_node,
-                                        Budget* budget) {
-  const FlatNfa plan = CompileEvalPlan(query_input);
-  return EvalRpqiFromWithBudget(db, plan, start_node, budget);
-}
-
-StatusOr<std::vector<std::pair<int, int>>> EvalRpqiAllPairsWithBudget(
-    const GraphDb& db, const Nfa& query_input, Budget* budget) {
-  // Compile once, sweep every source with the same plan. (This used to
-  // re-run the ε-closure inside the per-source loop — O(nodes) redundant
-  // query setup per sweep.)
-  const FlatNfa plan = CompileEvalPlan(query_input);
-  return EvalRpqiAllPairsWithBudget(db, plan, budget);
-}
-
-StatusOr<bool> EvalRpqiPairWithBudget(const GraphDb& db, const Nfa& query,
-                                      int from, int to, Budget* budget) {
-  const FlatNfa plan = CompileEvalPlan(query);
-  return EvalRpqiPairWithBudget(db, plan, from, to, budget);
-}
-
-Bitset EvalRpqiFrom(const GraphDb& db, const Nfa& query, int start_node) {
+Bitset EvalRpqiFrom(const GraphDb& db, const FlatNfa& plan, int start_node,
+                    EvalScratch* scratch) {
   StatusOr<Bitset> result =
-      EvalRpqiFromWithBudget(db, query, start_node, nullptr);
+      EvalRpqiFromWithBudget(db, plan, start_node, nullptr, scratch);
   RPQI_CHECK(result.ok());
   return std::move(result).value();
 }
 
 std::vector<std::pair<int, int>> EvalRpqiAllPairs(const GraphDb& db,
-                                                  const Nfa& query) {
+                                                  const FlatNfa& plan,
+                                                  EvalScratch* scratch) {
   StatusOr<std::vector<std::pair<int, int>>> result =
-      EvalRpqiAllPairsWithBudget(db, query, nullptr);
+      EvalRpqiAllPairsWithBudget(db, plan, nullptr, scratch);
   RPQI_CHECK(result.ok());
   return std::move(result).value();
 }
 
-bool EvalRpqiPair(const GraphDb& db, const Nfa& query, int from, int to) {
-  StatusOr<bool> result = EvalRpqiPairWithBudget(db, query, from, to, nullptr);
+bool EvalRpqiPair(const GraphDb& db, const FlatNfa& plan, int from, int to,
+                  EvalScratch* scratch) {
+  StatusOr<bool> result =
+      EvalRpqiPairWithBudget(db, plan, from, to, nullptr, scratch);
   RPQI_CHECK(result.ok());
   return *result;
 }

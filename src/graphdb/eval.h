@@ -1,6 +1,7 @@
 #ifndef RPQI_GRAPHDB_EVAL_H_
 #define RPQI_GRAPHDB_EVAL_H_
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -13,50 +14,77 @@
 
 namespace rpqi {
 
+/// Compiles a query to its eval plan: CompileFlat plus the
+/// `eval.plan_compiles` counter. Eval takes only compiled plans, so every
+/// caller compiles once and holds the plan for as many runs as it needs (the
+/// all-pairs sweep, a serve request, a whole CDA search); the counter is how
+/// tests pin that compiles never scale with the number of BFS runs.
+FlatNfa CompileEvalPlan(const Nfa& query);
+
+/// Caller-owned working memory of the eval kernel, reused across runs
+/// (DESIGN.md §16). A run costs O(configurations discovered) plus one word
+/// per 64 nodes between its lowest and highest answer, not O(N×S): the
+/// (node, state) visited table is epoch-stamped, so starting a run bumps one
+/// counter instead of zero-filling N×S cells, and answers are marked in a
+/// node bitmap as configurations are discovered instead of found by
+/// scanning the table. The table grows to the largest N×S seen and is
+/// re-zeroed only when the 16-bit epoch wraps (once per 65,535 runs). A
+/// scratch may be reused across plans, graphs and start nodes, and after a
+/// run that failed mid-BFS. It is not thread-safe: one scratch per thread.
+class EvalScratch {
+ public:
+  EvalScratch() = default;
+  EvalScratch(const EvalScratch&) = delete;
+  EvalScratch& operator=(const EvalScratch&) = delete;
+
+ private:
+  friend class EvalKernel;
+
+  std::vector<uint16_t> stamps_;  // [node * states + state] == epoch_: seen
+  uint16_t epoch_ = 0;
+  std::vector<std::pair<int, int>> stack_;  // (state, node) to expand
+  // Bit per node reached in an accepting state by the last run; every set
+  // bit lies in nodes [answers_lo_, answers_hi_] (empty when hi < lo).
+  std::vector<uint64_t> answers_;
+  int answers_lo_ = 0;
+  int answers_hi_ = -1;
+};
+
 /// Evaluates an RPQI over a database: the set of nodes y such that some
 /// semipath from x to y conforms to the query (Section 2 semantics — forward
 /// symbols 2k follow edges of relation k, inverse symbols 2k+1 traverse them
-/// backwards). Product-graph BFS over (query state, node); O(|states|·|edges|).
-Bitset EvalRpqiFrom(const GraphDb& db, const Nfa& query, int start_node);
-
-/// ans(query, db) as a sorted list of node pairs.
-std::vector<std::pair<int, int>> EvalRpqiAllPairs(const GraphDb& db,
-                                                  const Nfa& query);
-
-/// Membership of one pair in ans(query, db).
-bool EvalRpqiPair(const GraphDb& db, const Nfa& query, int from, int to);
-
-/// CompileFlat plus the `eval.plan_compiles` counter: the one per-query
-/// compilation the Nfa entry points below perform before the BFS. Callers
-/// that evaluate repeatedly (the serving layer, the all-pairs sweep) compile
-/// once and use the FlatNfa overloads — the counter is how tests pin that
-/// per-query setup never scales with the number of source nodes.
-FlatNfa CompileEvalPlan(const Nfa& query);
-
-/// Budgeted variants: identical semantics, but the product-graph BFS charges
-/// one budget unit per discovered (state, node) configuration and honors the
-/// budget's deadline / cancellation / state quota. A null budget is
-/// unlimited. The Nfa overloads compile the query to its flat plan form
-/// (CompileEvalPlan) exactly once and delegate to the FlatNfa overloads.
-StatusOr<Bitset> EvalRpqiFromWithBudget(const GraphDb& db, const Nfa& query,
-                                        int start_node, Budget* budget);
-StatusOr<std::vector<std::pair<int, int>>> EvalRpqiAllPairsWithBudget(
-    const GraphDb& db, const Nfa& query, Budget* budget);
-StatusOr<bool> EvalRpqiPairWithBudget(const GraphDb& db, const Nfa& query,
-                                      int from, int to, Budget* budget);
-
-/// FlatNfa overloads — the eval hot path. The BFS inner loop iterates the
-/// plan's contiguous edge spans against the graph's LabelCsr spans; no
-/// per-query setup happens here, so a compiled plan is reusable across any
-/// number of source nodes and server requests. `plan` must satisfy the
-/// FlatNfa invariants (CompileFlat output, or a deserialized plan that
-/// passed ValidateFlatNfa).
+/// backwards). Product-graph BFS over (query state, node), walking the plan's
+/// edge spans against the graph's LabelCsr spans (row scan when the graph
+/// has no label index).
+///
+/// The budget is charged one unit per discovered (state, node) configuration
+/// and checked on every expansion; a null budget is unlimited. A null
+/// `scratch` runs on a call-local one. `plan` must satisfy the FlatNfa
+/// invariants (CompileEvalPlan output, or a deserialized plan that passed
+/// ValidateFlatNfa).
 StatusOr<Bitset> EvalRpqiFromWithBudget(const GraphDb& db, const FlatNfa& plan,
-                                        int start_node, Budget* budget);
+                                        int start_node, Budget* budget,
+                                        EvalScratch* scratch = nullptr);
+
+/// ans(query, db) as a sorted list of node pairs: one run per source node,
+/// all on the same scratch, each source's answers emitted in order.
 StatusOr<std::vector<std::pair<int, int>>> EvalRpqiAllPairsWithBudget(
-    const GraphDb& db, const FlatNfa& plan, Budget* budget);
+    const GraphDb& db, const FlatNfa& plan, Budget* budget,
+    EvalScratch* scratch = nullptr);
+
+/// Membership of one pair in ans(query, db). Runs the whole BFS from `from`
+/// (no early exit), so its counters equal EvalRpqiFromWithBudget's.
 StatusOr<bool> EvalRpqiPairWithBudget(const GraphDb& db, const FlatNfa& plan,
-                                      int from, int to, Budget* budget);
+                                      int from, int to, Budget* budget,
+                                      EvalScratch* scratch = nullptr);
+
+/// Unbudgeted forms of the three entry points above.
+Bitset EvalRpqiFrom(const GraphDb& db, const FlatNfa& plan, int start_node,
+                    EvalScratch* scratch = nullptr);
+std::vector<std::pair<int, int>> EvalRpqiAllPairs(
+    const GraphDb& db, const FlatNfa& plan, EvalScratch* scratch = nullptr);
+bool EvalRpqiPair(const GraphDb& db, const FlatNfa& plan, int from, int to,
+                  EvalScratch* scratch = nullptr);
 
 }  // namespace rpqi
 

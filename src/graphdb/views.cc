@@ -6,7 +6,7 @@ namespace rpqi {
 
 std::vector<std::pair<int, int>> MaterializeView(const GraphDb& db,
                                                  const Nfa& definition) {
-  return EvalRpqiAllPairs(db, definition);
+  return EvalRpqiAllPairs(db, CompileEvalPlan(definition));
 }
 
 GraphDb BuildViewGraph(

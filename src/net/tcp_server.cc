@@ -5,9 +5,13 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <map>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "base/mutex.h"
 #include "base/thread_annotations.h"
@@ -70,9 +74,14 @@ bool WouldBlock(int err) {
 
 /// One accepted connection. The loop thread owns the socket and the framing
 /// state; `conn_mu_` guards only what workers share with the loop — the write
-/// buffer and the count of batches submitted but not yet answered. Workers
-/// never see the fd, so the loop can close it whenever the shared state says
-/// the connection is finished.
+/// buffer and the batches submitted but not yet answered. Workers never see
+/// the fd, so the loop can close it whenever the shared state says the
+/// connection is finished.
+///
+/// Responses leave in request order. Batches from one connection may run on
+/// different workers at once, so each reserves an output slot when it is
+/// submitted, and a batch that finishes before an earlier one parks its
+/// lines until the earlier slots are filled.
 struct TcpTransport::Conn {
   Conn(UniqueFd socket, size_t max_line_bytes)
       : fd(std::move(socket)), framer(max_line_bytes) {}
@@ -89,15 +98,36 @@ struct TcpTransport::Conn {
   /// Batches handed to the pool whose responses have not been appended yet;
   /// the connection cannot close while this is nonzero.
   int pending_batches RPQI_GUARDED_BY(conn_mu_) = 0;
+  /// Output slots: the next one to reserve, the next one to append, and the
+  /// lines of finished batches waiting for an earlier slot.
+  uint64_t next_slot RPQI_GUARDED_BY(conn_mu_) = 0;
+  uint64_t next_append RPQI_GUARDED_BY(conn_mu_) = 0;
+  std::map<uint64_t, std::vector<std::string>> parked
+      RPQI_GUARDED_BY(conn_mu_);
 
-  void AppendLines(const std::vector<std::string>& lines, bool finish_batch)
+  /// Reserves the output slot of a batch about to be submitted.
+  uint64_t BeginBatch() RPQI_EXCLUDES(conn_mu_) {
+    MutexLock lock(&conn_mu_);
+    ++pending_batches;
+    return next_slot++;
+  }
+
+  /// Hands over the response lines of slot `slot`; they are appended once
+  /// every earlier slot's are.
+  void FinishBatch(uint64_t slot, std::vector<std::string> lines)
       RPQI_EXCLUDES(conn_mu_) {
     MutexLock lock(&conn_mu_);
-    for (const std::string& line : lines) {
-      out_buf += line;
-      out_buf += '\n';
+    parked.emplace(slot, std::move(lines));
+    for (auto it = parked.begin();
+         it != parked.end() && it->first == next_append;
+         it = parked.erase(it)) {
+      for (const std::string& line : it->second) {
+        out_buf += line;
+        out_buf += '\n';
+      }
+      ++next_append;
+      --pending_batches;
     }
-    if (finish_batch) --pending_batches;
   }
 
   bool HasUnsentBytes() RPQI_EXCLUDES(conn_mu_) {
@@ -207,7 +237,7 @@ void TcpTransport::ReadReady(const std::shared_ptr<Conn>& conn) {
             "request line exceeds " + std::to_string(options_.max_line_bytes) +
                 " bytes"));
       }
-      conn->AppendLines(errors, /*finish_batch=*/false);
+      conn->FinishBatch(conn->BeginBatch(), std::move(errors));
     }
   }
   lines.erase(std::remove_if(lines.begin(), lines.end(), IsBlankLine),
@@ -232,25 +262,20 @@ void TcpTransport::SubmitLines(const std::shared_ptr<Conn>& conn,
       // order: loop-exit hint, same contract as RequestShutdown
       shutdown_requested_.store(true, std::memory_order_relaxed);
     }
-    {
-      MutexLock lock(&conn->conn_mu_);
-      ++conn->pending_batches;
-    }
-    bool submitted = pool_->TrySubmit([this, conn, batch] {
-      conn->AppendLines(server_->ExecuteBatch(batch.get()),
-                        /*finish_batch=*/true);
+    const uint64_t slot = conn->BeginBatch();
+    bool submitted = pool_->TrySubmit([this, conn, batch, slot] {
+      conn->FinishBatch(slot, server_->ExecuteBatch(batch.get()));
       wake_.Notify();
     });
     if (!submitted) {
       BatchesRejectedCounter().Increment();
-      conn->AppendLines(
-          server_->RejectBatch(
-              batch.get(), "overloaded",
-              "request queue full (depth " +
-                  std::to_string(
-                      server_->options().admission.queue_depth) +
-                  ")"),
-          /*finish_batch=*/true);
+      conn->FinishBatch(
+          slot, server_->RejectBatch(
+                    batch.get(), "overloaded",
+                    "request queue full (depth " +
+                        std::to_string(
+                            server_->options().admission.queue_depth) +
+                        ")"));
     }
   }
 }

@@ -18,8 +18,8 @@ std::vector<std::pair<int, int>> EvaluateRewriting(
   RPQI_CHECK_EQ(rewriting.num_symbols(),
                 2 * static_cast<int>(extensions.size()));
   GraphDb view_graph = BuildViewGraph(num_objects, extensions);
-  Nfa query = Trim(DfaToNfa(rewriting));
-  return EvalRpqiAllPairs(view_graph, query);
+  const FlatNfa plan = CompileEvalPlan(Trim(DfaToNfa(rewriting)));
+  return EvalRpqiAllPairs(view_graph, plan);
 }
 
 namespace {

@@ -152,7 +152,7 @@ TEST(LinearizedEvalTest, MatchesGraphEvaluationOnRandomCanonicalDbs) {
         TwoWayNfa automaton =
             BuildLinearizedEvalAutomaton(definition, alphabet, spec);
         EXPECT_EQ(SimulateTwoWay(automaton, word),
-                  EvalRpqiPair(db, definition, a, b))
+                  EvalRpqiPair(db, CompileEvalPlan(definition), a, b))
             << "trial " << trial << " pair (" << a << "," << b << ")";
       }
     }

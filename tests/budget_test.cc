@@ -352,13 +352,14 @@ TEST(BudgetEvalTest, QuotaAndParityWithUnbudgetedEval) {
   Nfa query = MustCompileRegex(MustParseRegex("r* s"), alphabet);
 
   StatusOr<std::vector<std::pair<int, int>>> budgeted =
-      EvalRpqiAllPairsWithBudget(*db, query, nullptr);
+      EvalRpqiAllPairsWithBudget(*db, CompileEvalPlan(query), nullptr);
   ASSERT_TRUE(budgeted.ok());
-  EXPECT_EQ(*budgeted, EvalRpqiAllPairs(*db, query));
+  EXPECT_EQ(*budgeted, EvalRpqiAllPairs(*db, CompileEvalPlan(query)));
 
   Budget tiny;
   tiny.set_max_states(1);
-  StatusOr<Bitset> from = EvalRpqiFromWithBudget(*db, query, 0, &tiny);
+  StatusOr<Bitset> from =
+      EvalRpqiFromWithBudget(*db, CompileEvalPlan(query), 0, &tiny);
   ASSERT_FALSE(from.ok());
   EXPECT_EQ(from.status().code(), Status::Code::kResourceExhausted);
 }

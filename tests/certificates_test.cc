@@ -98,7 +98,8 @@ TEST(CertificatesTest, CertificateAgreesWithGraphEvaluation) {
             BuildSearchFreeQueryAutomaton(query, alphabet, c, d);
         std::optional<UniformCertificate> certificate =
             ComputeMinimalUniformCertificate(search_free, alphabet, word);
-        EXPECT_EQ(certificate.has_value(), !EvalRpqiPair(*db, query, c, d))
+        EXPECT_EQ(certificate.has_value(),
+                  !EvalRpqiPair(*db, CompileEvalPlan(query), c, d))
             << "trial " << trial;
       }
     }

@@ -130,8 +130,8 @@ TEST(ColumnarTest, RoundTripGivesBitIdenticalEvalAnswers) {
     Nfa query = MustCompileRegex(MustParseRegex(q), alphabet);
     Nfa reloaded_query =
         MustCompileRegex(MustParseRegex(q), reloaded_alphabet);
-    EXPECT_EQ(EvalRpqiAllPairs(db, query),
-              EvalRpqiAllPairs(*reloaded, reloaded_query))
+    EXPECT_EQ(EvalRpqiAllPairs(db, CompileEvalPlan(query)),
+              EvalRpqiAllPairs(*reloaded, CompileEvalPlan(reloaded_query)))
         << "query " << q;
   }
 }
@@ -156,8 +156,8 @@ TEST(ColumnarTest, CsrEvalMatchesRowScanOnRandomGraphs) {
     indexed_db.BuildLabelIndex(alphabet.NumRelations());
     ASSERT_FALSE(row_db.has_label_index());
     ASSERT_TRUE(indexed_db.has_label_index());
-    EXPECT_EQ(EvalRpqiAllPairs(row_db, query),
-              EvalRpqiAllPairs(indexed_db, query));
+    EXPECT_EQ(EvalRpqiAllPairs(row_db, CompileEvalPlan(query)),
+              EvalRpqiAllPairs(indexed_db, CompileEvalPlan(query)));
   }
 }
 
@@ -193,8 +193,8 @@ TEST(ColumnarTest, RelationRemapLoadPreservesSemantics) {
   Nfa query = MustCompileRegex(MustParseRegex("r0 (r1^- | r2)*"), alphabet);
   Nfa remapped_query =
       MustCompileRegex(MustParseRegex("r0 (r1^- | r2)*"), reloaded_alphabet);
-  EXPECT_EQ(EvalRpqiAllPairs(db, query),
-            EvalRpqiAllPairs(*reloaded, remapped_query));
+  EXPECT_EQ(EvalRpqiAllPairs(db, CompileEvalPlan(query)),
+            EvalRpqiAllPairs(*reloaded, CompileEvalPlan(remapped_query)));
 }
 
 TEST(ColumnarTest, TruncatedFileIsRejectedWithByteOffsets) {
@@ -356,8 +356,8 @@ TEST(ColumnarTest, SnapshotLoaderSniffsFormatAndKeepsFingerprint) {
                                     (*from_text)->alphabet);
   Nfa bin_query = MustCompileRegex(MustParseRegex("r0 (r1 | r2^-)*"),
                                    (*from_bin)->alphabet);
-  EXPECT_EQ(EvalRpqiAllPairs((*from_text)->db, text_query),
-            EvalRpqiAllPairs((*from_bin)->db, bin_query));
+  EXPECT_EQ(EvalRpqiAllPairs((*from_text)->db, CompileEvalPlan(text_query)),
+            EvalRpqiAllPairs((*from_bin)->db, CompileEvalPlan(bin_query)));
 
   // A torn binary on disk degrades to a structured error, never UB.
   StatusOr<std::string> encoded = EncodeColumnar(

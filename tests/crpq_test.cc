@@ -32,7 +32,8 @@ std::vector<std::vector<int>> BruteForceEval(const GraphDb& db,
   while (true) {
     bool all_atoms_hold = true;
     for (const CrpqAtom& atom : query.atoms) {
-      if (!EvalRpqiPair(db, atom.automaton, assignment[atom.from_variable],
+      if (!EvalRpqiPair(db, CompileEvalPlan(atom.automaton),
+                        assignment[atom.from_variable],
                         assignment[atom.to_variable])) {
         all_atoms_hold = false;
         break;

@@ -2,7 +2,9 @@
 // structure, the RPQIPLAN1 wire format (round-trip, corrupt-every-byte
 // rejection, version/magic skew), ValidateFlatNfa as the deserialization
 // admission gate, and the differential guarantee the eval rewire rests on —
-// flat-plan evaluation is bit-identical to a direct Nfa product BFS.
+// flat-plan evaluation is bit-identical to a direct Nfa product BFS — plus
+// the eval kernel's contracts: a reused EvalScratch evaluates exactly like a
+// fresh one, and callers compile each plan once.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -10,14 +12,21 @@
 #include <vector>
 
 #include "analysis/validate.h"
+#include "answer/cda.h"
+#include "answer/oda.h"
+#include "answer/views.h"
 #include "automata/flat.h"
 #include "automata/nfa.h"
 #include "automata/ops.h"
 #include "automata/random.h"
+#include "base/budget.h"
+#include "crpq/crpq.h"
 #include "graphdb/eval.h"
 #include "graphdb/graph.h"
+#include "graphdb/views.h"
 #include "obs/metrics.h"
 #include "rpq/alphabet.h"
+#include "rpq/compile.h"
 #include "workload/graph_gen.h"
 
 namespace rpqi {
@@ -205,8 +214,8 @@ TEST(FlatEvalDifferentialTest, FlatMatchesNfaReferenceOnRandomInputs) {
     ASSERT_TRUE(csr.ok());
     EXPECT_EQ(*csr, expected) << "csr path, round " << round;
 
-    // And the Nfa convenience overload (which compiles internally) agrees.
-    EXPECT_EQ(EvalRpqiAllPairs(db, query), expected);
+    // And the unbudgeted form agrees.
+    EXPECT_EQ(EvalRpqiAllPairs(db, CompileEvalPlan(query)), expected);
   }
 }
 
@@ -259,13 +268,291 @@ TEST(FlatEvalDifferentialTest, AllPairsCompilesOncePerQuery) {
     GraphDb db = RandomGraph(rng, graph_options);
     obs::MetricsSnapshot before = obs::TakeMetricsSnapshot();
     StatusOr<std::vector<std::pair<int, int>>> result =
-        EvalRpqiAllPairsWithBudget(db, query, nullptr);
+        EvalRpqiAllPairsWithBudget(db, CompileEvalPlan(query), nullptr);
     ASSERT_TRUE(result.ok());
     obs::MetricsSnapshot delta = obs::TakeMetricsSnapshot().DeltaSince(before);
     EXPECT_EQ(delta.CounterValue("eval.plan_compiles"), 1)
         << "plan compiles must not scale with the " << num_nodes
         << "-node sweep";
     EXPECT_EQ(delta.CounterValue("eval.bfs_runs"), num_nodes);
+  }
+}
+
+// Each caller compiles its plans once and holds them, however many BFS runs
+// it makes. A CDA probe evaluates the query and the views at every search
+// node; before the solver held its plans, eval.plan_compiles equalled
+// eval.bfs_runs.
+TEST(EvalPlanCompileTest, CdaProbeCompilesQueryAndEachViewOnce) {
+  SignedAlphabet alphabet;
+  alphabet.AddRelation("p");
+  AnsweringInstance instance;
+  instance.num_objects = 3;
+  instance.query = MustCompileRegex("p p", &alphabet);
+  View sound;
+  sound.definition = MustCompileRegex("p", &alphabet);
+  sound.extension = {{0, 1}, {1, 2}};
+  sound.assumption = ViewAssumption::kSound;
+  View exact;
+  exact.definition = MustCompileRegex("p p", &alphabet);
+  exact.extension = {{0, 2}};
+  exact.assumption = ViewAssumption::kExact;
+  instance.views = {sound, exact};
+
+  for (bool certain_probe : {true, false}) {
+    obs::MetricsSnapshot before = obs::TakeMetricsSnapshot();
+    StatusOr<CdaResult> result = certain_probe
+                                     ? CertainAnswerCda(instance, 0, 2)
+                                     : PossibleAnswerCda(instance, 2, 0);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    obs::MetricsSnapshot delta = obs::TakeMetricsSnapshot().DeltaSince(before);
+    EXPECT_EQ(delta.CounterValue("eval.plan_compiles"),
+              1 + static_cast<int64_t>(instance.views.size()));
+    // The search really evaluates repeatedly, so the invariant is not
+    // trivially met by a one-node search.
+    EXPECT_GT(delta.CounterValue("eval.bfs_runs"),
+              2 * (1 + static_cast<int64_t>(instance.views.size())));
+  }
+}
+
+TEST(EvalPlanCompileTest, MaterializersCompileEachDefinitionOnce) {
+  SignedAlphabet alphabet;
+  alphabet.AddRelation("p");
+  alphabet.AddRelation("q");
+  std::mt19937_64 rng(12);
+  RandomGraphOptions graph_options;
+  graph_options.num_nodes = 12;
+  GraphDb db = RandomGraph(rng, graph_options);
+
+  AnsweringInstance instance;
+  instance.num_objects = 2;
+  instance.query = MustCompileRegex("p q^-", &alphabet);
+  for (const char* text : {"p", "q", "p* q"}) {
+    View view;
+    view.definition = MustCompileRegex(text, &alphabet);
+    view.extension = {};
+    view.assumption = ViewAssumption::kSound;
+    instance.views.push_back(std::move(view));
+  }
+  obs::MetricsSnapshot before = obs::TakeMetricsSnapshot();
+  (void)VerifyOdaCounterexample(instance, 0, 1, db);
+  obs::MetricsSnapshot delta = obs::TakeMetricsSnapshot().DeltaSince(before);
+  EXPECT_EQ(delta.CounterValue("eval.plan_compiles"), 1 + 3);
+
+  before = obs::TakeMetricsSnapshot();
+  std::vector<std::pair<int, int>> extension =
+      MaterializeView(db, instance.views[2].definition);
+  delta = obs::TakeMetricsSnapshot().DeltaSince(before);
+  EXPECT_EQ(delta.CounterValue("eval.plan_compiles"), 1);
+  EXPECT_EQ(delta.CounterValue("eval.bfs_runs"), db.NumNodes());
+  EXPECT_EQ(extension, ReferenceAllPairs(db, instance.views[2].definition));
+
+  ConjunctiveRpqi crpq;
+  crpq.num_variables = 3;
+  crpq.atoms.push_back({0, MustCompileRegex("p", &alphabet), 1});
+  crpq.atoms.push_back({1, MustCompileRegex("q*", &alphabet), 2});
+  crpq.distinguished = {0, 2};
+  before = obs::TakeMetricsSnapshot();
+  (void)EvalCrpq(db, crpq);
+  delta = obs::TakeMetricsSnapshot().DeltaSince(before);
+  EXPECT_EQ(delta.CounterValue("eval.plan_compiles"), 2);
+}
+
+/// Answers and eval.configurations of one all-pairs sweep.
+struct SweepResult {
+  std::vector<std::pair<int, int>> answers;
+  int64_t configurations = 0;
+};
+
+SweepResult Sweep(const GraphDb& db, const FlatNfa& plan,
+                  EvalScratch* scratch) {
+  obs::MetricsSnapshot before = obs::TakeMetricsSnapshot();
+  StatusOr<std::vector<std::pair<int, int>>> answers =
+      EvalRpqiAllPairsWithBudget(db, plan, nullptr, scratch);
+  EXPECT_TRUE(answers.ok());
+  obs::MetricsSnapshot delta = obs::TakeMetricsSnapshot().DeltaSince(before);
+  return {answers.ok() ? *answers : std::vector<std::pair<int, int>>{},
+          delta.CounterValue("eval.configurations")};
+}
+
+/// Reachable set and eval.configurations of one single-source run.
+struct SourceResult {
+  Bitset reachable;
+  int64_t configurations = 0;
+};
+
+SourceResult FromSource(const GraphDb& db, const FlatNfa& plan, int start,
+                        EvalScratch* scratch) {
+  obs::MetricsSnapshot before = obs::TakeMetricsSnapshot();
+  StatusOr<Bitset> reachable =
+      EvalRpqiFromWithBudget(db, plan, start, nullptr, scratch);
+  EXPECT_TRUE(reachable.ok());
+  obs::MetricsSnapshot delta = obs::TakeMetricsSnapshot().DeltaSince(before);
+  return {reachable.ok() ? *reachable : Bitset(),
+          delta.CounterValue("eval.configurations")};
+}
+
+Nfa RandomQuery(std::mt19937_64& rng, int num_states, int num_relations) {
+  RandomAutomatonOptions options;
+  options.num_states = num_states;
+  options.num_symbols = 2 * num_relations;
+  options.transition_density = 0.3 + (rng() % 15) / 10.0;
+  return RandomNfa(rng, options);
+}
+
+// One scratch reused across plans of different state counts on one graph:
+// the visited table's row stride changes from run to run.
+TEST(EvalScratchTest, ReuseAcrossPlansWithDifferentStateCounts) {
+  std::mt19937_64 rng(2024);
+  RandomGraphOptions graph_options;
+  graph_options.num_nodes = 14;
+  graph_options.num_relations = 2;
+  graph_options.average_out_degree = 2.0;
+  GraphDb db = RandomGraph(rng, graph_options);
+  EvalScratch shared;
+  for (int num_states : {6, 1, 9, 3, 8, 2, 7}) {
+    Nfa query = RandomQuery(rng, num_states, graph_options.num_relations);
+    const FlatNfa plan = CompileFlat(query);
+    SweepResult reused = Sweep(db, plan, &shared);
+    SweepResult fresh = Sweep(db, plan, nullptr);
+    EXPECT_EQ(reused.answers, ReferenceAllPairs(db, query))
+        << num_states << " states";
+    EXPECT_EQ(reused.answers, fresh.answers) << num_states << " states";
+    EXPECT_EQ(reused.configurations, fresh.configurations)
+        << num_states << " states";
+  }
+}
+
+// One scratch reused across graphs that grow and shrink, on both adjacency
+// paths, and across every start node of each.
+TEST(EvalScratchTest, ReuseAcrossGraphsAndStartNodes) {
+  std::mt19937_64 rng(77);
+  EvalScratch shared;
+  for (int num_nodes : {5, 30, 2, 17, 40, 9}) {
+    RandomGraphOptions graph_options;
+    graph_options.num_nodes = num_nodes;
+    graph_options.num_relations = 2;
+    graph_options.average_out_degree = 1.5;
+    GraphDb db = RandomGraph(rng, graph_options);
+    if (num_nodes % 2 == 0) db.BuildLabelIndex(graph_options.num_relations);
+    Nfa query = RandomQuery(rng, 1 + static_cast<int>(rng() % 6),
+                            graph_options.num_relations);
+    const FlatNfa plan = CompileFlat(query);
+    std::vector<std::pair<int, int>> expected = ReferenceAllPairs(db, query);
+    SweepResult reused = Sweep(db, plan, &shared);
+    EXPECT_EQ(reused.answers, expected) << num_nodes << " nodes";
+    EXPECT_EQ(reused.configurations, Sweep(db, plan, nullptr).configurations);
+    // Single-source runs in a scrambled start order, each followed by a pair
+    // query, which leaves its answer marks for the next run to clear.
+    for (int i = 0; i < num_nodes; ++i) {
+      int start = static_cast<int>((i * 7 + 3) % num_nodes);
+      SourceResult got = FromSource(db, plan, start, &shared);
+      SourceResult want = FromSource(db, plan, start, nullptr);
+      EXPECT_TRUE(got.reachable == want.reachable)
+          << num_nodes << " nodes, start " << start;
+      EXPECT_EQ(got.configurations, want.configurations)
+          << num_nodes << " nodes, start " << start;
+      int target = (start + 1) % num_nodes;
+      EXPECT_EQ(EvalRpqiPair(db, plan, start, target, &shared),
+                want.reachable.Test(target))
+          << num_nodes << " nodes, pair " << start << "," << target;
+    }
+  }
+}
+
+// The visited table is re-zeroed only when the 16-bit epoch wraps, once
+// per 65,535 runs. The first runs stamp every start's cells; the runs after
+// them touch only an isolated node until the epoch has gone round; then the
+// first runs repeat under the same epochs. Without the re-zeroing, their
+// old stamps would read as "seen".
+TEST(EvalScratchTest, ReuseAcrossAnEpochWrap) {
+  std::mt19937_64 rng(5);
+  RandomGraphOptions graph_options;
+  graph_options.num_nodes = 6;
+  graph_options.num_relations = 1;
+  graph_options.average_out_degree = 2.0;
+  GraphDb db = RandomGraph(rng, graph_options);
+  const int isolated = db.AddNode("isolated");
+  SignedAlphabet alphabet;
+  alphabet.AddRelation("r");
+  const FlatNfa plan = CompileFlat(MustCompileRegex("(r | r^-)*", &alphabet));
+  std::vector<SourceResult> want;
+  for (int start = 0; start < db.NumNodes(); ++start) {
+    want.push_back(FromSource(db, plan, start, nullptr));
+  }
+  constexpr int kEpochs = 65535;
+  const int n = db.NumNodes();
+  EvalScratch shared;
+  obs::MetricsSnapshot before = obs::TakeMetricsSnapshot();
+  int64_t want_configurations = 0;
+  int mismatches = 0;
+  for (int run = 0; run < kEpochs + 2 * n; ++run) {
+    const int start =
+        run < n ? run : (run >= kEpochs ? (run - kEpochs) % n : isolated);
+    StatusOr<Bitset> got =
+        EvalRpqiFromWithBudget(db, plan, start, nullptr, &shared);
+    ASSERT_TRUE(got.ok());
+    if (!(*got == want[start].reachable)) ++mismatches;
+    want_configurations += want[start].configurations;
+  }
+  obs::MetricsSnapshot delta = obs::TakeMetricsSnapshot().DeltaSince(before);
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(delta.CounterValue("eval.configurations"), want_configurations);
+}
+
+// A run that exhausts its budget mid-BFS leaves a half-expanded stack and a
+// partly stamped table behind; the next run on the same scratch must not see
+// either.
+TEST(EvalScratchTest, ReuseAfterABudgetFailureMidBfs) {
+  std::mt19937_64 rng(91);
+  RandomGraphOptions graph_options;
+  graph_options.num_nodes = 20;
+  graph_options.num_relations = 2;
+  graph_options.average_out_degree = 2.5;
+  GraphDb db = RandomGraph(rng, graph_options);
+  SignedAlphabet alphabet;
+  alphabet.AddRelation("r0");
+  alphabet.AddRelation("r1");
+  Nfa query = MustCompileRegex("(r0 | r1^- | r1)*", &alphabet);
+  const FlatNfa plan = CompileFlat(query);
+  const int isolated = db.AddNode("isolated");
+  std::vector<std::pair<int, int>> expected = ReferenceAllPairs(db, query);
+  SweepResult fresh = Sweep(db, plan, nullptr);
+  ASSERT_EQ(fresh.answers, expected);
+  SourceResult alone = FromSource(db, plan, isolated, nullptr);
+
+  // The source that discovers the most configurations; quotas below its
+  // count fail at different depths of its BFS.
+  int start = 0;
+  int64_t most = 0;
+  for (int node = 0; node < db.NumNodes(); ++node) {
+    SourceResult run = FromSource(db, plan, node, nullptr);
+    if (run.configurations > most) {
+      start = node;
+      most = run.configurations;
+    }
+  }
+  ASSERT_GE(most, 8);
+
+  EvalScratch shared;
+  for (int64_t quota : {int64_t{1}, most / 3, 2 * most / 3, most - 1}) {
+    Budget tiny;
+    tiny.set_max_states(quota);
+    StatusOr<Bitset> failed =
+        EvalRpqiFromWithBudget(db, plan, start, &tiny, &shared);
+    ASSERT_FALSE(failed.ok()) << "quota " << quota;
+    EXPECT_EQ(failed.status().code(), Status::Code::kResourceExhausted);
+
+    // A node that reaches nothing: any configuration of the failed run still
+    // on the stack would show up here.
+    SourceResult after = FromSource(db, plan, isolated, &shared);
+    EXPECT_TRUE(after.reachable == alone.reachable) << "after quota " << quota;
+    EXPECT_EQ(after.configurations, alone.configurations)
+        << "after quota " << quota;
+
+    SweepResult reused = Sweep(db, plan, &shared);
+    EXPECT_EQ(reused.answers, expected) << "after quota " << quota;
+    EXPECT_EQ(reused.configurations, fresh.configurations)
+        << "after quota " << quota;
   }
 }
 

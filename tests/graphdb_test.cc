@@ -42,14 +42,14 @@ TEST(EvalTest, ForwardAndInverseTraversal) {
   db.AddEdge(z, 0, y);
 
   Nfa forward = MustCompileRegex(MustParseRegex("p"), alphabet);
-  EXPECT_TRUE(EvalRpqiPair(db, forward, x, y));
-  EXPECT_FALSE(EvalRpqiPair(db, forward, y, x));
+  EXPECT_TRUE(EvalRpqiPair(db, CompileEvalPlan(forward), x, y));
+  EXPECT_FALSE(EvalRpqiPair(db, CompileEvalPlan(forward), y, x));
 
   // x --p--> y <--p-- z : the RPQI p p⁻ connects x to z.
   Nfa around = MustCompileRegex(MustParseRegex("p p^-"), alphabet);
-  EXPECT_TRUE(EvalRpqiPair(db, around, x, z));
-  EXPECT_TRUE(EvalRpqiPair(db, around, x, x));
-  EXPECT_FALSE(EvalRpqiPair(db, around, x, y));
+  EXPECT_TRUE(EvalRpqiPair(db, CompileEvalPlan(around), x, z));
+  EXPECT_TRUE(EvalRpqiPair(db, CompileEvalPlan(around), x, x));
+  EXPECT_FALSE(EvalRpqiPair(db, CompileEvalPlan(around), x, y));
 }
 
 TEST(EvalTest, Example1VisibilitySemantics) {
@@ -73,13 +73,13 @@ TEST(EvalTest, Example1VisibilitySemantics) {
       MustParseRegex("(hasSubmodule^-)* (containsVar | hasSubmodule)"),
       alphabet);
   // Visible in grandchild: everything up the chain.
-  Bitset visible = EvalRpqiFrom(db, query, grandchild);
+  Bitset visible = EvalRpqiFrom(db, CompileEvalPlan(query), grandchild);
   EXPECT_TRUE(visible.Test(v_child));
   EXPECT_TRUE(visible.Test(v_root));
   EXPECT_TRUE(visible.Test(child));       // sibling-submodule visibility
   EXPECT_TRUE(visible.Test(grandchild));  // child of child
   // Visible in root: only its own variable and child module.
-  Bitset visible_root = EvalRpqiFrom(db, query, root);
+  Bitset visible_root = EvalRpqiFrom(db, CompileEvalPlan(query), root);
   EXPECT_TRUE(visible_root.Test(v_root));
   EXPECT_TRUE(visible_root.Test(child));
   EXPECT_FALSE(visible_root.Test(v_child));
@@ -95,12 +95,12 @@ TEST(EvalTest, AllPairsConsistentWithPerPair) {
   alphabet.AddRelation("r0");
   alphabet.AddRelation("r1");
   Nfa query = MustCompileRegex(MustParseRegex("r0 (r1^- | r0)*"), alphabet);
-  auto pairs = EvalRpqiAllPairs(db, query);
+  auto pairs = EvalRpqiAllPairs(db, CompileEvalPlan(query));
   for (int x = 0; x < db.NumNodes(); ++x) {
     for (int y = 0; y < db.NumNodes(); ++y) {
       bool in_pairs = std::find(pairs.begin(), pairs.end(),
                                 std::make_pair(x, y)) != pairs.end();
-      EXPECT_EQ(in_pairs, EvalRpqiPair(db, query, x, y));
+      EXPECT_EQ(in_pairs, EvalRpqiPair(db, CompileEvalPlan(query), x, y));
     }
   }
 }
@@ -130,7 +130,7 @@ TEST(EvalTest, LineDbAgreesWithWordSatisfaction) {
         }
         prev = next;
       }
-      EXPECT_EQ(EvalRpqiPair(db, query, first, prev),
+      EXPECT_EQ(EvalRpqiPair(db, CompileEvalPlan(query), first, prev),
                 WordSatisfies(query, word));
     }
   }
@@ -209,7 +209,7 @@ TEST(ViewsTest, MaterializedViewsAreExactByConstruction) {
       MustCompileRegex(scenario.view_definitions[0], scenario.alphabet);
   auto extension = MaterializeView(scenario.db, definition);
   for (const auto& [a, b] : extension) {
-    EXPECT_TRUE(EvalRpqiPair(scenario.db, definition, a, b));
+    EXPECT_TRUE(EvalRpqiPair(scenario.db, CompileEvalPlan(definition), a, b));
   }
 }
 
@@ -227,9 +227,9 @@ TEST(ViewsTest, ViewGraphEvaluation) {
   view_alphabet.AddRelation("v1");
   Nfa path =
       MustCompileRegex(MustParseRegex("v0 v0 v1"), view_alphabet);
-  EXPECT_TRUE(EvalRpqiPair(graph, path, 0, 3));
+  EXPECT_TRUE(EvalRpqiPair(graph, CompileEvalPlan(path), 0, 3));
   Nfa back = MustCompileRegex(MustParseRegex("v1^- v0^-"), view_alphabet);
-  EXPECT_TRUE(EvalRpqiPair(graph, back, 3, 1));
+  EXPECT_TRUE(EvalRpqiPair(graph, CompileEvalPlan(back), 3, 1));
 }
 
 TEST(GeneratorsTest, ShapesAreAsAdvertised) {

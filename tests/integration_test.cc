@@ -53,7 +53,7 @@ TEST(IntegrationTest, TextToRewritingRoundTrip) {
     extensions.push_back(MaterializeView(*db, view));
   }
   EXPECT_EQ(EvaluateRewriting(rewriting->dfa, db->NumNodes(), extensions),
-            EvalRpqiAllPairs(*db, query));
+            EvalRpqiAllPairs(*db, CompileEvalPlan(query)));
 }
 
 TEST(IntegrationTest, RealDatabaseIsNeverAcounterexampleToCertainAnswers) {
@@ -75,7 +75,7 @@ TEST(IntegrationTest, RealDatabaseIsNeverAcounterexampleToCertainAnswers) {
     instance.views.push_back(std::move(view));
   }
 
-  auto direct = EvalRpqiAllPairs(scenario.db, query);
+  auto direct = EvalRpqiAllPairs(scenario.db, CompileEvalPlan(query));
   int certain_count = 0;
   for (int c = 0; c < instance.num_objects; ++c) {
     for (int d = 0; d < instance.num_objects; ++d) {
@@ -158,7 +158,7 @@ TEST(IntegrationTest, ExactViewsRecoverDatabaseUpToQueryEquivalence) {
     instance.views.push_back(std::move(view));
   }
 
-  auto direct = EvalRpqiAllPairs(*db, query);
+  auto direct = EvalRpqiAllPairs(*db, CompileEvalPlan(query));
   for (int c = 0; c < instance.num_objects; ++c) {
     for (int d = 0; d < instance.num_objects; ++d) {
       bool in_direct = std::find(direct.begin(), direct.end(),

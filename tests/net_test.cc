@@ -510,6 +510,25 @@ TEST(TcpTransportTest, ServesEvalOverLoopback) {
   EXPECT_EQ(MustParse(second).Find("id")->int_value(), 2);
 }
 
+// Two reads from one connection become two batches that may run on both
+// workers at once. The first sleeps, so the second finishes first; its
+// response must still come second.
+TEST(TcpTransportTest, ResponsesKeepRequestOrderAcrossBatches) {
+  std::string db = WriteTempFile("net_tcp_order.txt", "a r b\nb r c\n");
+  TestServer server(BaseOptions(db));
+  TestClient client = TestClient::Connect(server.port());
+  ASSERT_TRUE(client.ok());
+  client.SendLine(R"({"id":1,"op":"admin","action":"sleep","ms":300})");
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  client.SendLine(R"({"id":2,"op":"eval","query":"r r"})");
+  std::string first = client.ReadLine();
+  std::string second = client.ReadLine();
+  ASSERT_FALSE(first.empty());
+  ASSERT_FALSE(second.empty());
+  EXPECT_EQ(MustParse(first).Find("id")->int_value(), 1) << first;
+  EXPECT_EQ(MustParse(second).Find("id")->int_value(), 2) << second;
+}
+
 TEST(TcpTransportTest, ChunkedAndCoalescedSendsAreFramed) {
   std::string db = WriteTempFile("net_tcp_chunk.txt", "a r b\n");
   TestServer server(BaseOptions(db));

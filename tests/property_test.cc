@@ -167,10 +167,10 @@ TEST_P(SeededProperty, EvaluationIsMonotoneInEdges) {
   options.num_nodes = 6;
   options.num_relations = 2;
   GraphDb db = RandomGraph(rng_, options);
-  auto before = EvalRpqiAllPairs(db, query);
+  auto before = EvalRpqiAllPairs(db, CompileEvalPlan(query));
   std::uniform_int_distribution<int> pick(0, db.NumNodes() - 1);
   db.AddEdge(pick(rng_), 0, pick(rng_));
-  auto after = EvalRpqiAllPairs(db, query);
+  auto after = EvalRpqiAllPairs(db, CompileEvalPlan(query));
   for (const auto& pair : before) {
     EXPECT_TRUE(std::find(after.begin(), after.end(), pair) != after.end());
   }
@@ -184,9 +184,9 @@ TEST_P(SeededProperty, EvaluationDistributesOverUnion) {
   options.num_nodes = 5;
   options.num_relations = 2;
   GraphDb db = RandomGraph(rng_, options);
-  auto union_answers = EvalRpqiAllPairs(db, UnionNfa(e1, e2));
-  auto a1 = EvalRpqiAllPairs(db, e1);
-  auto a2 = EvalRpqiAllPairs(db, e2);
+  auto union_answers = EvalRpqiAllPairs(db, CompileEvalPlan(UnionNfa(e1, e2)));
+  auto a1 = EvalRpqiAllPairs(db, CompileEvalPlan(e1));
+  auto a2 = EvalRpqiAllPairs(db, CompileEvalPlan(e2));
   std::vector<std::pair<int, int>> merged;
   std::set_union(a1.begin(), a1.end(), a2.begin(), a2.end(),
                  std::back_inserter(merged));
@@ -201,9 +201,9 @@ TEST_P(SeededProperty, EvaluationComposesOverConcat) {
   options.num_nodes = 5;
   options.num_relations = 2;
   GraphDb db = RandomGraph(rng_, options);
-  auto concat_answers = EvalRpqiAllPairs(db, Concat(e1, e2));
-  auto a1 = EvalRpqiAllPairs(db, e1);
-  auto a2 = EvalRpqiAllPairs(db, e2);
+  auto concat_answers = EvalRpqiAllPairs(db, CompileEvalPlan(Concat(e1, e2)));
+  auto a1 = EvalRpqiAllPairs(db, CompileEvalPlan(e1));
+  auto a2 = EvalRpqiAllPairs(db, CompileEvalPlan(e2));
   std::vector<std::pair<int, int>> composed;
   for (const auto& [x, z1] : a1) {
     for (const auto& [z2, y] : a2) {

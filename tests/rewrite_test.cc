@@ -290,11 +290,11 @@ TEST(RewriteEvalTest, RewritingAnswersAreSoundOverViewGraph) {
 
   std::vector<std::vector<std::pair<int, int>>> extensions;
   for (const Nfa& view : views) {
-    extensions.push_back(EvalRpqiAllPairs(scenario.db, view));
+    extensions.push_back(EvalRpqiAllPairs(scenario.db, CompileEvalPlan(view)));
   }
   auto from_views = EvaluateRewriting(rewriting->dfa, scenario.db.NumNodes(),
                                       extensions);
-  auto direct = EvalRpqiAllPairs(scenario.db, query);
+  auto direct = EvalRpqiAllPairs(scenario.db, CompileEvalPlan(query));
   // Soundness: every pair computed from the views is a real answer.
   for (const auto& pair : from_views) {
     EXPECT_TRUE(std::find(direct.begin(), direct.end(), pair) != direct.end());

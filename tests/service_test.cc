@@ -448,6 +448,39 @@ TEST(ServerTest, AnswerOdaAndCdaAgreeOnExactView) {
   }
 }
 
+// The CDA candidate space is objects² · relations edges. It used to be
+// computed in int: 2^16 objects wrapped it to 0 and answered "certain"
+// without a search, and 50,000 objects made it negative and aborted the
+// server with std::length_error. Spaces past the int range are now an
+// invalid request, and the server keeps answering.
+TEST(ServerTest, CdaCandidateSpaceOverflowIsInvalidRequest) {
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.Init().ok());
+  auto request = [](int objects) {
+    return R"({"id":1,"op":"answer","mode":"cda","objects":)" +
+           std::to_string(objects) +
+           R"(,"query":"p","views":[{"name":"v","expr":"p",)"
+           R"("assumption":"sound","extension":[[0,1]]}],"pairs":[[1,0]]})";
+  };
+  Json small = Handle(server, request(3));
+  ASSERT_EQ(FindField(small, "status")->string_value(), "ok");
+  EXPECT_FALSE(
+      FindField(small, "results")->array()[0].Find("certain")->bool_value());
+
+  for (int objects : {65536, 50000}) {
+    Json response = Handle(server, request(objects));
+    EXPECT_EQ(FindField(response, "status")->string_value(), "error")
+        << objects << " objects";
+    EXPECT_EQ(FindField(response, "code")->string_value(), "invalid_request")
+        << objects << " objects";
+  }
+
+  Json after = Handle(server, request(3));
+  ASSERT_EQ(FindField(after, "status")->string_value(), "ok");
+  EXPECT_FALSE(
+      FindField(after, "results")->array()[0].Find("certain")->bool_value());
+}
+
 TEST(ServerTest, ReloadKeepsCacheWarmForIdenticalContent) {
   std::string path = WriteTempGraph("srv_warm.txt", "a r b\n");
   Server server(OptionsWithDb(path));

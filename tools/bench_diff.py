@@ -18,10 +18,12 @@ build on).
 
 Counters — every numeric entry key except the timing bookkeeping
 (median_ms, iterations, n) — are deterministic, so any drift usually means
-an algorithmic change, not noise. With --counters fail the script exits 1
-on any counter drift, which CI uses as a hard gate; the default (warn)
-only reports them. A counter present in only one of the two runs is
-reported as added/removed rather than treated as a drift.
+an algorithmic change, not noise. A counter present in only one of the two
+runs of a benchmark is reported as added/removed: a counter that falls to
+zero drops out of the entry, and one that appears is new work. With
+--counters fail the script exits 1 on any counter drift and on any added or
+removed counter, which CI uses as a hard gate; the default (warn) only
+reports them.
 """
 
 import argparse
@@ -76,8 +78,9 @@ def main():
                              "(default: warn only)")
     parser.add_argument("--counters", choices=("warn", "fail"),
                         default="warn",
-                        help="fail: exit 1 on any counter drift; "
-                             "warn (default): report only")
+                        help="fail: exit 1 on any counter drift or "
+                             "added/removed counter; warn (default): "
+                             "report only")
     args = parser.parse_args()
 
     baseline = load_entries(args.baseline)
@@ -87,7 +90,7 @@ def main():
     improvements = []
     skipped_fast = []
     counter_drifts = []
-    counter_changes = []  # added/removed counter keys: informational
+    counter_changes = []  # added/removed counter keys
     for name in sorted(set(baseline) & set(new)):
         old_ms = baseline[name].get("median_ms")
         new_ms = new[name].get("median_ms")
@@ -140,6 +143,9 @@ def main():
         failed = True
     if counter_drifts and args.counters == "fail":
         print("\ncounter drift with --counters fail: failing")
+        failed = True
+    if counter_changes and args.counters == "fail":
+        print("\ncounter set change with --counters fail: failing")
         failed = True
     return 1 if failed else 0
 

@@ -6,7 +6,8 @@ Usage: bench_diff_test.py PATH_TO_BENCH_DIFF
 Exercises the hardening this tool grew alongside the observability layer:
   * zero / near-zero baseline medians are skipped (no ZeroDivisionError);
   * counters present in only one run report as added/removed, never crash;
-  * counter drift exits 1 under --counters fail, 0 under the warn default;
+  * counter drift and added/removed counters exit 1 under --counters fail,
+    0 under the warn default;
   * --fail-on-regression still gates timing regressions;
   * non-numeric entry values are ignored rather than compared.
 """
@@ -73,12 +74,27 @@ def main():
     result = run([{"name": "b", "median_ms": 1.0, "old_only": 3}],
                  [{"name": "b", "median_ms": 1.0, "new_only": 7}],
                  "--counters", "fail")
-    check("disjoint counter sets are not a drift", result.returncode == 0,
-          result.stdout)
+    check("disjoint counter sets fail --counters fail",
+          result.returncode == 1, result.stdout)
     check("removed counter is reported",
           "counter removed: old_only" in result.stdout, result.stdout)
     check("added counter is reported",
           "counter added: new_only" in result.stdout, result.stdout)
+    # One direction at a time: a counter that fell to zero drops out of the
+    # entry; a counter that appears is new work. Both are counter changes.
+    kept = {"name": "b", "median_ms": 1.0, "states": 5}
+    result = run([dict(kept, gone=2)], [dict(kept)], "--counters", "fail")
+    check("removed counter alone fails --counters fail",
+          result.returncode == 1
+          and "counter removed: gone" in result.stdout, result.stdout)
+    result = run([dict(kept)], [dict(kept, fresh=4)], "--counters", "fail")
+    check("added counter alone fails --counters fail",
+          result.returncode == 1
+          and "counter added: fresh" in result.stdout, result.stdout)
+    result = run([dict(kept, gone=2)], [dict(kept, fresh=4)])
+    check("counter set changes default to warn-only exit 0",
+          result.returncode == 0
+          and "counter set changes" in result.stdout, result.stdout)
 
     # --- counter drift gating ---------------------------------------------
     old = [{"name": "b", "median_ms": 1.0, "states_explored": 100}]

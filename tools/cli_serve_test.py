@@ -7,6 +7,8 @@ Drives the built `rpqi` binary end to end:
   * a mixed batch of eval/rewrite/answer/admin requests, each answered
     exactly once with the request id echoed, exit 0 on clean EOF drain;
   * plan-cache hit/miss transitions and per-request counter deltas;
+  * a CDA candidate space past the int range answered as
+    `invalid_request`, with the server still answering afterwards;
   * deterministic queue-full rejection (--threads 1 --queue-depth 1 with an
     `admin sleep` occupying the worker) producing `overloaded` responses
     in-band, not a process exit;
@@ -196,6 +198,30 @@ def main():
     check("admin stats sees cache and snapshot",
           ids[5][0]["plan_cache"]["hits"] >= 1
           and ids[5][0]["snapshot"]["version"] == 1)
+
+    # --- CDA candidate space past the int range --------------------------
+    # objects² · relations used to be computed in int: 2^16 objects wrapped
+    # it to 0 (a wrong "certain"), 50000 made it negative and the server
+    # aborted with std::length_error. Both are invalid requests now, and the
+    # server answers the request after them.
+    def cda_request(request_id, objects):
+        return ('{"id":%d,"op":"answer","mode":"cda","objects":%d,'
+                '"query":"p","views":[{"name":"v","expr":"p",'
+                '"assumption":"sound","extension":[[0,1]]}],'
+                '"pairs":[[1,0]]}' % (request_id, objects))
+    proc, records = serve(binary, [cda_request(1, 65536),
+                                   cda_request(2, 50000),
+                                   cda_request(3, 3)])
+    check("cda overflow run exits 0", proc.returncode == 0,
+          f"exit {proc.returncode}: {proc.stderr[-300:]}")
+    ids = by_id(records)
+    check("cda overflow spaces are invalid requests",
+          all(i in ids and ids[i][0].get("code") == "invalid_request"
+              for i in (1, 2)), proc.stdout)
+    check("server answers the request after the overflow",
+          3 in ids and ids[3][0]["status"] == "ok"
+          and [r["certain"] for r in ids[3][0]["results"]] == [False],
+          proc.stdout)
 
     # --- deterministic queue-full rejection ------------------------------
     # One worker, queue depth 1: the sleep occupies the worker (or the queue

@@ -236,8 +236,9 @@ StatusOr<int> CmdEval(const FlagMap& flags) {
   RPQI_ASSIGN_OR_RETURN(Nfa query, CompileRegex(expr, alphabet));
   // The database was loaded before the query may have added relations; the
   // graph only stores relation ids, which remain valid under widening.
+  const FlatNfa plan = CompileEvalPlan(query);
   RPQI_ASSIGN_OR_RETURN(
-      auto pairs, EvalRpqiAllPairsWithBudget(snapshot->db, query, run.get()));
+      auto pairs, EvalRpqiAllPairsWithBudget(snapshot->db, plan, run.get()));
   for (const auto& [x, y] : pairs) {
     PrintAnswerPair(snapshot->db.NodeName(x), snapshot->db.NodeName(y));
   }
