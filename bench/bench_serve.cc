@@ -8,13 +8,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <random>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -228,11 +229,12 @@ void BM_ServeEvalWarmRestart(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeEvalWarmRestart);
 
-// Full serve loop: a 1000-request mixed stream (eight distinct eval queries
-// cycling, an admin reload every 100 requests) drained by N workers. The
-// Server persists across iterations, so after the first pass the cache is
-// warm — this measures admission + dispatch + hit-path throughput, with the
-// reloads exercising snapshot pinning under load.
+// Full stdio serve loop: a 1000-request mixed stream (eight distinct eval
+// queries cycling, an admin reload every 100 requests) read from a file by
+// the request loop's stream connection and drained by N workers. The Server
+// persists across iterations, so after the first pass the cache is warm —
+// this measures framing + admission + dispatch + hit-path throughput, with
+// the reloads exercising snapshot pinning under load.
 void BM_ServeMixedStream(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   constexpr int kRequests = 1000;
@@ -261,14 +263,19 @@ void BM_ServeMixedStream(benchmark::State& state) {
     }
   }
 
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string in_path = (dir / "rpqi_bench_serve_in.ndjson").string();
+  const std::string out_path = (dir / "rpqi_bench_serve_out.ndjson").string();
+  std::ofstream(in_path) << input;
   for (auto _ : state) {
-    std::istringstream in(input);
-    std::ostringstream out;
-    if (!server.Serve(in, out).ok()) {
+    UniqueFd in_fd(::open(in_path.c_str(), O_RDONLY));
+    UniqueFd out_fd(
+        ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600));
+    net::TcpTransport transport(&server, {});
+    if (!transport.ServeStream(in_fd.get(), out_fd.get()).ok()) {
       state.SkipWithError("serve loop failed");
       break;
     }
-    benchmark::DoNotOptimize(out.str().data());
   }
   // bench_diff gates every extra numeric column with --counters fail, so only
   // the deterministic thread count is exported; throughput lives in
@@ -278,13 +285,12 @@ void BM_ServeMixedStream(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeMixedStream)->Arg(1)->Arg(4)->Arg(8)->UseRealTime();
 
-// The same mixed stream through the TCP transport: one loopback connection
-// sends 500 pipelined requests and reads every response back. Relative to
-// BM_ServeMixedStream this adds the poll loop, line framing, batch admission,
-// and two socket copies per request — the delta between the two medians is
-// the transport tax the roadmap's scale-out story pays. The stream is
-// pipelined, so the transport's request batching (shared snapshot pins, plan
-// lookups resolved once per batch) is on the measured path.
+// The same mixed stream over TCP: one loopback connection sends 500
+// pipelined requests and reads every response back. Relative to
+// BM_ServeMixedStream, which runs the same request loop over files, this adds
+// the connect and two socket copies per request. The stream is pipelined, so
+// the request batching (shared snapshot pins, plan lookups resolved once per
+// batch) is on the measured path of both.
 void BM_ServeTcpThroughput(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   constexpr int kRequests = 500;

@@ -11,7 +11,6 @@
 #include "base/bitset.h"
 #include "base/hash.h"
 #include "base/interner.h"
-#include "base/thread_pool.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -178,12 +177,10 @@ Nfa Trim(const Nfa& nfa) {
 }
 
 StatusOr<Dfa> DeterminizeWithLimit(const Nfa& input, int64_t max_states,
-                                   Budget* budget, int threads) {
+                                   Budget* budget) {
   static const obs::Counter runs_counter("determinize.runs");
   static const obs::Counter states_counter("determinize.states");
-  static const obs::Counter parallel_counter("determinize.parallel_batches");
   obs::Span span("automata.determinize");
-  if (threads <= 0) threads = GlobalThreadCount();
   const Nfa nfa = RemoveEpsilon(input);
   const int num_symbols = nfa.num_symbols();
   const SymbolAdjacency adjacency(nfa);
@@ -197,94 +194,36 @@ StatusOr<Dfa> DeterminizeWithLimit(const Nfa& input, int64_t max_states,
   accepting.push_back(SubsetAccepts(nfa, start));
 
   std::vector<std::vector<int>> next_rows;
-  // Interns a freshly computed subset, enforcing the state cap and charging
-  // the budget exactly once per new state (identical on both paths).
-  auto intern_step = [&](const Bitset& subset, uint64_t hash,
-                         bool subset_accepting) -> StatusOr<int> {
-    int next_id = interner.InternHashed(subset.words(), hash);
-    if (next_id == static_cast<int>(subset_of.size())) {
-      if (interner.size() > max_states) {
-        return Status::ResourceExhausted("subset construction exceeded " +
-                                         std::to_string(max_states) +
-                                         " states");
-      }
-      // Models allocation failure while growing the subset table; surfaces
-      // through the same kResourceExhausted path as a real quota hit.
-      RPQI_FAULT_POINT("automata.determinize_state",
-                       Status::ResourceExhausted(
-                           "injected state-allocation failure in subset "
-                           "construction"));
-      RPQI_RETURN_IF_ERROR(BudgetCharge(budget, 1));
-      subset_of.push_back(subset);
-      accepting.push_back(subset_accepting);
-    }
-    return next_id;
-  };
-
-  if (threads <= 1) {
-    Bitset scratch(nfa.NumStates());
-    for (int id = 0; id < interner.size(); ++id) {
-      RPQI_RETURN_IF_ERROR(BudgetCheck(budget));
-      next_rows.emplace_back(num_symbols, -1);
-      for (int a = 0; a < num_symbols; ++a) {
-        SubsetStepInto(adjacency, subset_of[id], a, &scratch);
-        RPQI_ASSIGN_OR_RETURN(
-            int next_id,
-            intern_step(scratch, scratch.Hash(), SubsetAccepts(nfa, scratch)));
-        next_rows[id][a] = next_id;
-      }
-    }
-  } else {
-    // Level-synchronous parallel frontier: workers evaluate the subset step
-    // for every (frontier state, symbol) pair of a chunk; the merge then
-    // interns the results serially in (frontier order, symbol) order — the
-    // exact discovery order of the serial loop — so state numbering and the
-    // resulting DFA are bit-identical to threads == 1. Only the merge thread
-    // touches the interner and the budget.
-    constexpr int kFrontierChunk = 1024;
-    ThreadPool* pool = ThreadPool::Shared(threads);
-    struct StepResult {
-      Bitset subset;
-      uint64_t hash = 0;
-      bool accepting = false;
-    };
-    std::vector<StepResult> results;
-    int level_begin = 0;
-    while (level_begin < interner.size()) {
-      RPQI_RETURN_IF_ERROR(BudgetCheck(budget));
-      int level_end =
-          std::min(interner.size(), level_begin + kFrontierChunk);
-      int level_size = level_end - level_begin;
-      results.assign(static_cast<size_t>(level_size) * num_symbols,
-                     StepResult{});
-      parallel_counter.Increment();
-      pool->ParallelFor(level_size, [&](int64_t i) {
-        int id = level_begin + static_cast<int>(i);
-        for (int a = 0; a < num_symbols; ++a) {
-          StepResult& r = results[i * num_symbols + a];
-          r.subset = Bitset(nfa.NumStates());
-          SubsetStepInto(adjacency, subset_of[id], a, &r.subset);
-          r.hash = r.subset.Hash();
-          r.accepting = SubsetAccepts(nfa, r.subset);
+  Bitset scratch(nfa.NumStates());
+  for (int id = 0; id < interner.size(); ++id) {
+    RPQI_RETURN_IF_ERROR(BudgetCheck(budget));
+    next_rows.emplace_back(num_symbols, -1);
+    for (int a = 0; a < num_symbols; ++a) {
+      SubsetStepInto(adjacency, subset_of[id], a, &scratch);
+      int next_id = interner.InternHashed(scratch.words(), scratch.Hash());
+      if (next_id == static_cast<int>(subset_of.size())) {
+        if (interner.size() > max_states) {
+          return Status::ResourceExhausted("subset construction exceeded " +
+                                           std::to_string(max_states) +
+                                           " states");
         }
-      });
-      for (int i = 0; i < level_size; ++i) {
-        next_rows.emplace_back(num_symbols, -1);
-        for (int a = 0; a < num_symbols; ++a) {
-          StepResult& r = results[static_cast<size_t>(i) * num_symbols + a];
-          RPQI_ASSIGN_OR_RETURN(int next_id,
-                                intern_step(r.subset, r.hash, r.accepting));
-          next_rows[level_begin + i][a] = next_id;
-        }
+        // Models allocation failure while growing the subset table; surfaces
+        // through the same kResourceExhausted path as a real quota hit.
+        RPQI_FAULT_POINT("automata.determinize_state",
+                         Status::ResourceExhausted(
+                             "injected state-allocation failure in subset "
+                             "construction"));
+        RPQI_RETURN_IF_ERROR(BudgetCharge(budget, 1));
+        subset_of.push_back(scratch);
+        accepting.push_back(SubsetAccepts(nfa, scratch));
       }
-      level_begin = level_end;
+      next_rows[id][a] = next_id;
     }
   }
 
   runs_counter.Increment();
   states_counter.Add(interner.size());
   span.Note("states", interner.size());
-  span.Note("threads", threads);
   Dfa dfa(nfa.num_symbols(), interner.size());
   dfa.SetInitial(start_id);
   for (int id = 0; id < interner.size(); ++id) {
@@ -310,10 +249,8 @@ Dfa Determinize(const Nfa& nfa) {
   return std::move(result).value();
 }
 
-Nfa Intersect(const Nfa& a_input, const Nfa& b_input, int threads) {
-  static const obs::Counter parallel_counter("intersect.parallel_batches");
+Nfa Intersect(const Nfa& a_input, const Nfa& b_input) {
   obs::Span span("automata.intersect");
-  if (threads <= 0) threads = GlobalThreadCount();
   const Nfa a = RemoveEpsilon(a_input);
   const Nfa b = RemoveEpsilon(b_input);
   RPQI_CHECK_EQ(a.num_symbols(), b.num_symbols());
@@ -339,53 +276,15 @@ Nfa Intersect(const Nfa& a_input, const Nfa& b_input, int threads) {
       result.SetInitial(intern(sa, sb));
     }
   }
-  if (threads <= 1) {
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      auto [sa, sb] = pairs[i];
-      int from = static_cast<int>(i);
-      for (const Nfa::Transition& ta : a.TransitionsFrom(sa)) {
-        for (const Nfa::Transition& tb : b.TransitionsFrom(sb)) {
-          if (ta.symbol == tb.symbol) {
-            result.AddTransition(from, ta.symbol, intern(ta.to, tb.to));
-          }
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    auto [sa, sb] = pairs[i];
+    int from = static_cast<int>(i);
+    for (const Nfa::Transition& ta : a.TransitionsFrom(sa)) {
+      for (const Nfa::Transition& tb : b.TransitionsFrom(sb)) {
+        if (ta.symbol == tb.symbol) {
+          result.AddTransition(from, ta.symbol, intern(ta.to, tb.to));
         }
       }
-    }
-  } else {
-    // Level-synchronous frontier: workers enumerate each frontier pair's
-    // matching transitions into per-pair candidate lists; the serial merge
-    // interns targets in (pair order, candidate order) — exactly the serial
-    // discovery order — so state numbering and transitions are bit-identical
-    // to threads == 1.
-    struct Candidate {
-      int symbol;
-      int to_a;
-      int to_b;
-    };
-    ThreadPool* pool = ThreadPool::Shared(threads);
-    std::vector<std::vector<Candidate>> candidates;
-    size_t level_begin = 0;
-    while (level_begin < pairs.size()) {
-      size_t level_end = pairs.size();
-      size_t level_size = level_end - level_begin;
-      candidates.assign(level_size, {});
-      parallel_counter.Increment();
-      pool->ParallelFor(static_cast<int64_t>(level_size), [&](int64_t i) {
-        auto [sa, sb] = pairs[level_begin + i];
-        std::vector<Candidate>& out = candidates[i];
-        for (const Nfa::Transition& ta : a.TransitionsFrom(sa)) {
-          for (const Nfa::Transition& tb : b.TransitionsFrom(sb)) {
-            if (ta.symbol == tb.symbol) out.push_back({ta.symbol, ta.to, tb.to});
-          }
-        }
-      });
-      for (size_t i = 0; i < level_size; ++i) {
-        int from = static_cast<int>(level_begin + i);
-        for (const Candidate& c : candidates[i]) {
-          result.AddTransition(from, c.symbol, intern(c.to_a, c.to_b));
-        }
-      }
-      level_begin = level_end;
     }
   }
   return result;

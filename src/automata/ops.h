@@ -21,24 +21,16 @@ Nfa Trim(const Nfa& nfa);
 
 /// Subset construction. Fails with ResourceExhausted if more than `max_states`
 /// subset states are discovered; `budget` (optional) additionally enforces a
-/// wall-clock deadline and cooperative cancellation. With `threads > 1` the
-/// BFS frontier is partitioned across a worker pool (level-synchronous: the
-/// workers evaluate subset steps, a serial merge interns them in frontier
-/// order), producing a DFA bit-identical to the serial construction; `threads
-/// <= 0` uses GlobalThreadCount(). Budget state charges are identical on both
-/// paths; deadline checks run once per frontier chunk when parallel.
+/// wall-clock deadline and cooperative cancellation.
 StatusOr<Dfa> DeterminizeWithLimit(const Nfa& nfa, int64_t max_states,
-                                   Budget* budget = nullptr, int threads = 1);
+                                   Budget* budget = nullptr);
 
 /// Subset construction with a generous default limit; aborts on blowup beyond
 /// it (use DeterminizeWithLimit when the input is adversarial).
 Dfa Determinize(const Nfa& nfa);
 
 /// L(a) ∩ L(b) via the product construction (inputs may have ε-transitions).
-/// With `threads > 1` the product frontier is explored by a worker pool with
-/// a deterministic serial merge (bit-identical result); `threads <= 0` uses
-/// GlobalThreadCount().
-Nfa Intersect(const Nfa& a, const Nfa& b, int threads = 1);
+Nfa Intersect(const Nfa& a, const Nfa& b);
 
 /// L(a) ∪ L(b) by disjoint union of the automata.
 Nfa UnionNfa(const Nfa& a, const Nfa& b);

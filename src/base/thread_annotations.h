@@ -21,7 +21,7 @@
 ///   };
 ///
 /// Escape hatch: RPQI_NO_THREAD_SAFETY_ANALYSIS disables the analysis for one
-/// function. Every use must carry a same-line written waiver
+/// function. src/ has no use of it; a new one must carry a written waiver
 /// `// lint: allow-no-tsa <why>` naming the protocol that substitutes for the
 /// lock (enforced by tools/rpqi_lint.py, rule `lock-order`).
 ///
@@ -31,21 +31,19 @@
 /// `lock-order` rule parses the block between the BEGIN/END markers — one
 /// mutex name per line, outermost first — and rejects any function whose
 /// nested MutexLock/lock_guard scopes (or RPQI_REQUIRES annotations) acquire
-/// against the order; waiver: `// lint: allow-lock-order <why>`.
+/// against the order; waiver: `// lint: allow-lock-order <why>`. The rule is
+/// bidirectional: every name here must be a Mutex declared under src/, and
+/// every Mutex declared under src/ must be ranked here.
 ///
 /// The obs metrics registry is deliberately the innermost lock: every layer
 /// bumps counters, so `registry_mu` must be acquirable while holding anything.
 ///
 // RPQI_LOCK_ORDER_BEGIN
-//   shared_pools_mu   base::ThreadPool::Shared pool registry
-//   run_mu_           base::ThreadPool submission serialization
-//   pool_mu_          base::ThreadPool epoch/worker state
 //   queue_mu_         base::WorkerPool task queue + drain flag
 //   snapshot_mu_      service::SnapshotStore current-snapshot swap
 //   shard_mu          service::PlanCache per-shard LRU state
 //   breaker_mu_       service::CircuitBreaker per-op state machine
-//   writer_mu_        service::Server NDJSON response writer
-//   conn_mu_          net::TcpTransport per-connection buffers/refcounts
+//   conn_mu_          net::TcpTransport per-connection output slots
 //   g_sink_mu         obs trace sink (file/stream + epoch)
 //   fault_mu          fault-injection site table
 //   registry_mu       obs metrics registry (innermost; everything counts)

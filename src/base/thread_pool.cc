@@ -1,7 +1,6 @@
 #include "base/thread_pool.h"
 
 #include <algorithm>
-#include <memory>
 #include <system_error>
 #include <utility>
 #include <vector>
@@ -13,18 +12,15 @@ namespace rpqi {
 
 namespace {
 
-std::atomic<int> global_thread_count{1};
-
-/// Counts worker threads both pool kinds failed to spawn; each failure
-/// degrades the pool to fewer workers instead of leaking an exception into
-/// ParallelFor/TrySubmit callers.
+/// Counts worker threads the pool failed to spawn; each failure degrades the
+/// pool to fewer workers instead of leaking an exception into its owner.
 const obs::Counter& SpawnFailures() {
   static const obs::Counter counter("thread_pool.spawn_failures");
   return counter;
 }
 
 /// Backlog of every WorkerPool in the process (they are not created
-/// concurrently in practice: one per Serve call / transport).
+/// concurrently in practice: one per transport Serve call).
 const obs::Gauge& QueueDepthGauge() {
   static const obs::Gauge gauge("worker_pool.queue_depth");
   return gauge;
@@ -37,112 +33,6 @@ const obs::Histogram& QueueWaitHistogram() {
 }
 
 }  // namespace
-
-int GlobalThreadCount() {
-  // order: plain configuration cell; no data is published through it
-  return global_thread_count.load(std::memory_order_relaxed);
-}
-
-void SetGlobalThreadCount(int threads) {
-  // order: plain configuration cell; no data is published through it
-  global_thread_count.store(std::max(1, threads), std::memory_order_relaxed);
-}
-
-ThreadPool::ThreadPool(int num_threads) {
-  int background = std::max(0, num_threads - 1);
-  workers_.reserve(background);
-  for (int i = 0; i < background; ++i) {
-    // std::thread construction fails with std::system_error under thread
-    // exhaustion; the pool degrades to the workers it already has (zero is
-    // fine — ParallelFor then runs serially on the caller) instead of letting
-    // the exception escape into a ParallelFor caller mid-pipeline.
-    if (RPQI_FAULT_FIRED("thread_pool.spawn")) {
-      SpawnFailures().Increment();
-      break;
-    }
-    try {
-      workers_.emplace_back([this] { WorkerLoop(); });
-    } catch (const std::system_error&) {
-      SpawnFailures().Increment();
-      break;
-    }
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    MutexLock lock(&pool_mu_);
-    shutdown_ = true;
-  }
-  work_cv_.NotifyAll();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-// Reads count_/body_ without pool_mu_: both are frozen for the whole batch —
-// written under pool_mu_ before the epoch bump that wakes the workers
-// (acquiring pool_mu_ in WorkerLoop orders those writes before the reads
-// here), and run_mu_ blocks the next batch until every reader has reported
-// done via busy_.
-//
-// lint: allow-no-tsa the epoch/busy protocol above freezes count_/body_
-void ThreadPool::Drain() RPQI_NO_THREAD_SAFETY_ANALYSIS {
-  while (true) {
-    // order: iteration claims need no ordering, only atomicity; the body's
-    // own results are published by the busy_ handshake under pool_mu_
-    int64_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= count_) return;
-    (*body_)(i);
-  }
-}
-
-void ThreadPool::ParallelFor(int64_t count,
-                             const std::function<void(int64_t)>& body) {
-  static const obs::Counter batches("thread_pool.parallel_fors");
-  static const obs::Counter items("thread_pool.items");
-  if (count <= 0) return;
-  batches.Increment();
-  items.Add(count);
-  if (workers_.empty()) {
-    for (int64_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  // One batch at a time: the epoch/busy/cursor protocol below assumes a
-  // single in-flight submission, so concurrent callers queue up here.
-  MutexLock run_lock(&run_mu_);
-  {
-    MutexLock lock(&pool_mu_);
-    body_ = &body;
-    count_ = count;
-    // order: the workers synchronize on pool_mu_ (epoch_), not on the cursor
-    cursor_.store(0, std::memory_order_relaxed);
-    busy_ = static_cast<int>(workers_.size());
-    ++epoch_;
-  }
-  work_cv_.NotifyAll();
-  Drain();  // the caller participates
-  {
-    MutexLock lock(&pool_mu_);
-    while (busy_ != 0) done_cv_.Wait(&pool_mu_);
-    body_ = nullptr;
-  }
-}
-
-void ThreadPool::WorkerLoop() {
-  uint64_t seen_epoch = 0;
-  while (true) {
-    {
-      MutexLock lock(&pool_mu_);
-      while (!shutdown_ && epoch_ == seen_epoch) work_cv_.Wait(&pool_mu_);
-      if (shutdown_) return;
-      seen_epoch = epoch_;
-    }
-    Drain();
-    {
-      MutexLock lock(&pool_mu_);
-      if (--busy_ == 0) done_cv_.NotifyAll();
-    }
-  }
-}
 
 WorkerPool::WorkerPool(int num_threads, int max_queued)
     : max_queued_(static_cast<size_t>(std::max(0, max_queued))) {
@@ -238,24 +128,6 @@ void WorkerPool::WorkerLoop() {
     RPQI_FAULT_STALL("worker_pool.task_start");
     queued.task();
   }
-}
-
-ThreadPool* ThreadPool::Shared(int num_threads) {
-  static const obs::Counter pools_created("thread_pool.pools_created");
-  static Mutex shared_pools_mu;
-  // Growth appends instead of replacing: a pool handed out by an earlier call
-  // may be mid-ParallelFor on another thread, so no pool is ever destroyed
-  // before process exit. The vector stays tiny (one entry per strict growth).
-  // (Guarded by shared_pools_mu; local statics cannot carry RPQI_GUARDED_BY
-  // on the Clang versions the CI floor supports.)
-  static std::vector<std::unique_ptr<ThreadPool>> pools;
-  MutexLock lock(&shared_pools_mu);
-  for (const auto& pool : pools) {
-    if (pool->num_threads() >= num_threads) return pool.get();
-  }
-  pools.push_back(std::make_unique<ThreadPool>(num_threads));
-  pools_created.Increment();
-  return pools.back().get();
 }
 
 }  // namespace rpqi

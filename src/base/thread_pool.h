@@ -1,7 +1,6 @@
 #ifndef RPQI_BASE_THREAD_POOL_H_
 #define RPQI_BASE_THREAD_POOL_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -14,102 +13,23 @@
 
 namespace rpqi {
 
-/// Process-wide default worker count for the parallel frontier paths
-/// (DeterminizeWithLimit, Intersect). 1 means serial; set from the CLI's
-/// global --threads flag. Reads and writes are atomic.
-int GlobalThreadCount();
-void SetGlobalThreadCount(int threads);
-
-/// A small work-queue pool for data-parallel frontier expansion. The pool owns
-/// `num_threads - 1` background workers; the caller participates in every
-/// ParallelFor, so a pool of 1 degenerates to a plain loop with no threads.
-///
-/// Intended use is the level-synchronous pattern of the subset/product
-/// constructions: workers evaluate pure per-item step functions over a
-/// frontier slice, then the caller merges the results serially in frontier
-/// order so state numbering stays bit-identical to the serial algorithm.
-///
-/// Worker spawning is best-effort: a std::thread construction failure during
-/// pool growth (thread exhaustion, or the `thread_pool.spawn` fault site)
-/// degrades the pool to the workers already spawned — possibly zero, in which
-/// case ParallelFor runs serially on the caller — and bumps the
-/// `thread_pool.spawn_failures` counter; no exception escapes the pool.
-///
-/// Lock discipline: `run_mu_` serializes batches and is always acquired
-/// before `pool_mu_`, which guards the epoch/cursor handoff state (see the
-/// hierarchy in base/thread_annotations.h). The batch body/count fields are
-/// guarded by `pool_mu_` for writers; workers read them lock-free under the
-/// epoch protocol (see Drain's waiver).
-class ThreadPool {
- public:
-  explicit ThreadPool(int num_threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Workers plus the participating caller. `workers_` is immutable after
-  /// construction, so this needs no lock.
-  int num_threads() const { return static_cast<int>(workers_.size()) + 1; }
-
-  /// Runs body(i) for every i in [0, count), distributing iterations over the
-  /// workers plus the calling thread, and returns once all finished. `body`
-  /// must be safe to call concurrently and must not throw; iterations are
-  /// claimed from an atomic cursor, so no ordering is guaranteed. Concurrent
-  /// ParallelFor calls on one pool are serialized by a submission mutex: safe
-  /// from any thread, one batch at a time.
-  void ParallelFor(int64_t count, const std::function<void(int64_t)>& body)
-      RPQI_EXCLUDES(run_mu_, pool_mu_);
-
-  /// Process-wide pool with at least `num_threads` threads. The first call
-  /// creates one lazily; a later call asking for more threads creates a
-  /// larger pool but retains every previously returned pool, so pointers
-  /// handed out earlier stay valid and usable even while other threads are
-  /// inside ParallelFor on them (the growth used to replace — and destroy —
-  /// the pool object in place, racing any in-flight batch).
-  static ThreadPool* Shared(int num_threads);
-
- private:
-  void WorkerLoop() RPQI_EXCLUDES(pool_mu_);
-  void Drain();
-
-  Mutex run_mu_;   // serializes ParallelFor submissions; outer to pool_mu_
-  Mutex pool_mu_;  // guards the epoch/busy handoff state below
-  CondVar work_cv_;
-  CondVar done_cv_;
-  std::vector<std::thread> workers_;  // immutable after construction
-  bool shutdown_ RPQI_GUARDED_BY(pool_mu_) = false;
-  /// Bumped per ParallelFor; wakes the workers.
-  uint64_t epoch_ RPQI_GUARDED_BY(pool_mu_) = 0;
-  /// Workers still draining the current epoch.
-  int busy_ RPQI_GUARDED_BY(pool_mu_) = 0;
-  /// Written under pool_mu_ by ParallelFor; read lock-free by Drain under the
-  /// epoch protocol (workers observe the epoch bump inside pool_mu_, which
-  /// orders these writes before their reads; run_mu_ keeps the fields frozen
-  /// until every reader reports done via busy_).
-  int64_t count_ RPQI_GUARDED_BY(pool_mu_) = 0;
-  const std::function<void(int64_t)>* body_ RPQI_GUARDED_BY(pool_mu_) =
-      nullptr;
-  std::atomic<int64_t> cursor_{0};
-};
-
 /// A long-lived worker pool with a *bounded* task queue — the execution
-/// substrate of the serving subsystem (src/service). Unlike ThreadPool's
-/// fork-join ParallelFor, tasks here are independent closures submitted over
-/// the pool's lifetime; the queue bound makes admission control explicit:
-/// TrySubmit never blocks and returns false when the backlog is full, so the
-/// caller can turn overload into a structured rejection instead of unbounded
-/// memory growth.
+/// substrate of `rpqi serve` (src/net drives src/service on it). Tasks are
+/// independent closures submitted over the pool's lifetime; the queue bound
+/// makes admission control explicit: TrySubmit never blocks and returns false
+/// when the backlog is full, so the caller can turn overload into a
+/// structured rejection instead of unbounded memory growth.
 ///
 /// `max_queued` counts tasks accepted but not yet picked up by a worker;
 /// tasks being executed do not count against it. Drain() (also run by the
 /// destructor) stops admission, lets the workers finish every accepted task,
 /// and joins them — the graceful-drain semantics of `rpqi serve` on EOF.
 ///
-/// Spawning is best-effort like ThreadPool's: failures degrade the pool to
-/// fewer workers (counted by `thread_pool.spawn_failures`). If *every* spawn
-/// failed, TrySubmit degrades to running accepted tasks inline on the
-/// submitting thread, so the serving loop stays live instead of wedging.
+/// Spawning is best-effort: failures (thread exhaustion, or the
+/// `worker_pool.spawn` fault site) degrade the pool to fewer workers, counted
+/// by `thread_pool.spawn_failures`. If *every* spawn failed, TrySubmit
+/// degrades to running accepted tasks inline on the submitting thread, so the
+/// serving loop stays live instead of wedging.
 ///
 /// Observability: the `worker_pool.queue_depth` gauge tracks the backlog on
 /// every enqueue/dequeue, and `worker_pool.queue_wait_us` records how long

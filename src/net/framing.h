@@ -8,19 +8,19 @@
 namespace rpqi {
 namespace net {
 
-/// Incremental NDJSON line framing over a byte stream. TCP hands the
-/// transport arbitrary chunks — half a line, three lines and a fragment — so
-/// the framer accumulates bytes until it sees '\n' and emits complete lines
-/// (without the terminator; a trailing '\r' is stripped for telnet-style
-/// clients).
+/// Incremental NDJSON line framing over a byte stream. A socket or pipe hands
+/// the transport arbitrary chunks — half a line, three lines and a fragment —
+/// so the framer accumulates bytes until it sees '\n' and emits complete
+/// lines (without the terminator; a trailing '\r' is stripped for
+/// telnet-style clients).
 ///
 /// A line longer than `max_line_bytes` is abandoned the moment the limit is
 /// crossed: the framer switches to discard mode, swallows bytes until the
 /// next '\n', and reports the event through Feed's return value so the
 /// transport can answer it with a structured `invalid_request` — the peer
 /// keeps its connection and its framing, only the oversized request dies.
-/// This mirrors the stdio server's kMaxLineBytes guard; without it one
-/// newline-less client could grow the buffer without bound.
+/// Memory stays bounded by the limit however long the line runs; this is
+/// serve's only request-size guard.
 class LineFramer {
  public:
   explicit LineFramer(size_t max_line_bytes)

@@ -1,5 +1,6 @@
 #include "net/tcp_server.h"
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -72,24 +73,32 @@ bool WouldBlock(int err) {
 
 }  // namespace
 
-/// One accepted connection. The loop thread owns the socket and the framing
-/// state; `conn_mu_` guards only what workers share with the loop — the write
-/// buffer and the batches submitted but not yet answered. Workers never see
-/// the fd, so the loop can close it whenever the shared state says the
-/// connection is finished.
+/// One connection: an accepted socket (in_fd == out_fd, owned) or a borrowed
+/// stream pair such as stdin/stdout. The loop thread owns the fds and the
+/// framing state; `conn_mu_` guards only what workers share with the loop —
+/// the write buffer and the batches submitted but not yet answered. Workers
+/// never see the fds, so the loop can drop the connection whenever the
+/// shared state says it is finished.
 ///
 /// Responses leave in request order. Batches from one connection may run on
 /// different workers at once, so each reserves an output slot when it is
 /// submitted, and a batch that finishes before an earlier one parks its
 /// lines until the earlier slots are filled.
 struct TcpTransport::Conn {
-  Conn(UniqueFd socket, size_t max_line_bytes)
-      : fd(std::move(socket)), framer(max_line_bytes) {}
+  Conn(int in, int out, UniqueFd owned_socket, size_t max_line_bytes)
+      : socket(std::move(owned_socket)),
+        in_fd(in),
+        out_fd(out),
+        framer(max_line_bytes) {}
 
-  UniqueFd fd;           // loop thread only
+  /// The accepted socket, closed with the connection; empty for a borrowed
+  /// stream.
+  UniqueFd socket;
+  const int in_fd;
+  const int out_fd;
   LineFramer framer;     // loop thread only
   bool read_closed = false;  // loop thread only: EOF seen or drain started
-  bool dead = false;         // loop thread only: socket error, drop now
+  bool dead = false;         // loop thread only: I/O error, drop now
 
   Mutex conn_mu_;
   /// Response bytes not yet on the wire; [out_pos, size) is unsent.
@@ -202,7 +211,7 @@ void TcpTransport::AcceptReady() {
     }
     AcceptedCounter().Increment();
     int fd = accepted.get();
-    conns_.emplace(fd, std::make_shared<Conn>(std::move(accepted),
+    conns_.emplace(fd, std::make_shared<Conn>(fd, fd, std::move(accepted),
                                               options_.max_line_bytes));
     OpenConnectionsGauge().Set(static_cast<int64_t>(conns_.size()));
   }
@@ -213,7 +222,7 @@ void TcpTransport::ReadReady(const std::shared_ptr<Conn>& conn) {
   // the data again next round, so delivery is delayed, never lost.
   if (RPQI_FAULT_FIRED("net.read")) return;
   char buf[64 * 1024];
-  ssize_t n = ::recv(conn->fd.get(), buf, sizeof(buf), 0);
+  ssize_t n = ::read(conn->in_fd, buf, sizeof(buf));
   if (n < 0) {
     if (!WouldBlock(errno)) conn->dead = true;
     return;
@@ -221,8 +230,8 @@ void TcpTransport::ReadReady(const std::shared_ptr<Conn>& conn) {
   std::vector<std::string> lines;
   if (n == 0) {
     conn->read_closed = true;
-    // EOF mid-line: match the stdio server, where getline delivers an
-    // unterminated final line as a request.
+    // EOF mid-line: as with getline, an unterminated final line is still a
+    // request.
     if (conn->framer.has_partial()) lines.push_back(conn->framer.TakePartial());
   } else {
     BytesReadCounter().Add(n);
@@ -256,17 +265,15 @@ void TcpTransport::SubmitLines(const std::shared_ptr<Conn>& conn,
         std::make_move_iterator(lines.begin() + end));
     std::shared_ptr<service::Server::ParsedBatch> batch =
         server_->ParseBatch(chunk);
-    if (service::Server::RequestsShutdown(*batch)) {
-      // The batch (and its shutdown response) still executes; the drain
-      // itself starts at the top of the next loop iteration.
-      // order: loop-exit hint, same contract as RequestShutdown
-      shutdown_requested_.store(true, std::memory_order_relaxed);
-    }
     const uint64_t slot = conn->BeginBatch();
-    bool submitted = pool_->TrySubmit([this, conn, batch, slot] {
-      conn->FinishBatch(slot, server_->ExecuteBatch(batch.get()));
-      wake_.Notify();
-    });
+    // Models a queue-full burst without real backpressure: the batch takes
+    // the exact `overloaded` rejection path below.
+    bool submitted = !RPQI_FAULT_FIRED("service.queue_full") &&
+                     pool_->TrySubmit([this, conn, batch, slot] {
+                       conn->FinishBatch(slot,
+                                         server_->ExecuteBatch(batch.get()));
+                       wake_.Notify();
+                     });
     if (!submitted) {
       BatchesRejectedCounter().Increment();
       conn->FinishBatch(
@@ -276,6 +283,12 @@ void TcpTransport::SubmitLines(const std::shared_ptr<Conn>& conn,
                         std::to_string(
                             server_->options().admission.queue_depth) +
                         ")"));
+    }
+    if (service::Server::RequestsShutdown(*batch)) {
+      // ParseBatch stopped at the shutdown request; the rest of this read is
+      // dropped, and no connection reads again.
+      BeginDrain();
+      return;
     }
   }
 }
@@ -287,8 +300,12 @@ void TcpTransport::WriteReady(const std::shared_ptr<Conn>& conn) {
     // Injected short write: one byte goes out, exercising the resume path a
     // slow client's full send buffer would hit.
     if (RPQI_FAULT_FIRED("net.write")) len = 1;
-    ssize_t wrote = ::send(conn->fd.get(), conn->out_buf.data() + conn->out_pos,
-                           len, MSG_NOSIGNAL);
+    const char* data = conn->out_buf.data() + conn->out_pos;
+    // send(MSG_NOSIGNAL) keeps a vanished TCP peer from raising SIGPIPE; a
+    // borrowed stream may not be a socket at all.
+    ssize_t wrote = conn->socket.valid()
+                        ? ::send(conn->out_fd, data, len, MSG_NOSIGNAL)
+                        : ::write(conn->out_fd, data, len);
     if (wrote < 0) {
       if (!WouldBlock(errno)) conn->dead = true;
       return;
@@ -302,25 +319,53 @@ void TcpTransport::WriteReady(const std::shared_ptr<Conn>& conn) {
 
 Status TcpTransport::Serve() {
   if (!listener_.valid()) RPQI_RETURN_IF_ERROR(Listen());
-  RPQI_RETURN_IF_ERROR(wake_.Open());
+  return Loop();
+}
+
+Status TcpTransport::ServeStream(int in_fd, int out_fd) {
+  // A closed descriptor would be reused by the wake pipe, and the loop would
+  // then read its own wakeups or write into them.
+  for (int fd : {in_fd, out_fd}) {
+    if (::fcntl(fd, F_GETFD) < 0) {
+      return Status::InvalidArgument("serve: file descriptor " +
+                                     std::to_string(fd) + " is not open");
+    }
+  }
+  conns_.emplace(in_fd, std::make_shared<Conn>(in_fd, out_fd, UniqueFd(),
+                                               options_.max_line_bytes));
+  return Loop();
+}
+
+Status TcpTransport::Loop() {
+  Status status = wake_.Open();
   // order: fresh serve cycle; flag-only reset before any reader exists
   shutdown_requested_.store(false, std::memory_order_relaxed);
   draining_ = false;
-  {
+  if (status.ok()) {
     WorkerPool pool(server_->options().threads,
                     server_->options().admission.queue_depth);
     pool_ = &pool;
     std::vector<PollEvent> events;
     std::vector<std::shared_ptr<Conn>> polled;
+    auto watch = [&](int fd, bool read, bool write,
+                     const std::shared_ptr<Conn>& conn) {
+      if (!read && !write) return;
+      PollEvent event;
+      event.fd = fd;
+      event.want_read = read;
+      event.want_write = write;
+      events.push_back(event);
+      polled.push_back(conn);
+    };
     while (true) {
-      // order: flag-only hint set by workers / other threads; everything the
-      // drain acts on is re-read from the connection table below
+      // order: flag-only hint set by other threads; everything the drain
+      // acts on is re-read from the connection table below
       if (shutdown_requested_.load(std::memory_order_relaxed) && !draining_) {
         BeginDrain();
       }
       // Sweep connections that are finished (or dead). A finished connection
-      // whose peer already hit EOF — or whose server is draining — has
-      // answered and flushed everything it ever admitted.
+      // whose input hit EOF — or whose server is draining — has answered and
+      // flushed everything it ever admitted.
       for (auto it = conns_.begin(); it != conns_.end();) {
         Conn& conn = *it->second;
         if (conn.dead || (conn.read_closed && conn.Finished())) {
@@ -330,42 +375,33 @@ Status TcpTransport::Serve() {
         }
       }
       OpenConnectionsGauge().Set(static_cast<int64_t>(conns_.size()));
-      if (draining_ && conns_.empty()) break;
+      if (!listener_.valid() && conns_.empty()) break;
 
       events.clear();
       polled.clear();
-      PollEvent wake_event;
-      wake_event.fd = wake_.read_fd();
-      wake_event.want_read = true;
-      events.push_back(wake_event);
-      polled.push_back(nullptr);
-      if (listener_.valid()) {
-        PollEvent accept_event;
-        accept_event.fd = listener_.get();
-        accept_event.want_read = true;
-        events.push_back(accept_event);
-        polled.push_back(nullptr);
-      }
+      watch(wake_.read_fd(), true, false, nullptr);
+      if (listener_.valid()) watch(listener_.get(), true, false, nullptr);
       for (auto& [fd, conn] : conns_) {
-        PollEvent event;
-        event.fd = fd;
-        event.want_read = !conn->read_closed;
-        event.want_write = conn->HasUnsentBytes();
-        if (!event.want_read && !event.want_write) continue;
-        events.push_back(event);
-        polled.push_back(conn);
+        const bool want_read = !conn->read_closed;
+        const bool want_write = conn->HasUnsentBytes();
+        if (conn->in_fd == conn->out_fd) {
+          watch(conn->in_fd, want_read, want_write, conn);
+        } else {
+          watch(conn->in_fd, want_read, false, conn);
+          watch(conn->out_fd, false, want_write, conn);
+        }
       }
       // The wake pipe interrupts the poll whenever a worker finishes a
       // batch; the finite timeout is a belt-and-suspenders liveness floor.
       StatusOr<int> ready = PollSockets(&events, 500);
       if (!ready.ok()) {
-        pool.Drain();
-        pool_ = nullptr;
-        return ready.status();
+        status = ready.status();
+        break;
       }
       for (size_t i = 0; i < events.size(); ++i) {
         const PollEvent& event = events[i];
-        if (polled[i] == nullptr) {
+        const std::shared_ptr<Conn>& conn = polled[i];
+        if (conn == nullptr) {
           if (event.fd == wake_.read_fd()) {
             if (event.readable) wake_.Drain();
           } else if (event.readable && listener_.valid()) {
@@ -373,12 +409,17 @@ Status TcpTransport::Serve() {
           }
           continue;
         }
-        if (event.error) {
-          polled[i]->dead = true;
+        if (event.error && !event.want_read) {
+          conn->dead = true;
           continue;
         }
-        if (event.writable) WriteReady(polled[i]);
-        if (event.readable && !polled[i]->dead) ReadReady(polled[i]);
+        if (event.writable) WriteReady(conn);
+        // A hangup on the input side may still have data queued behind it
+        // (a pipe whose writer closed): read() tells data, EOF or error.
+        if ((event.readable || event.error) && event.want_read &&
+            !conn->dead && !conn->read_closed) {
+          ReadReady(conn);
+        }
       }
     }
     pool.Drain();
@@ -386,7 +427,7 @@ Status TcpTransport::Serve() {
   }
   conns_.clear();
   listener_.reset();
-  return Status::Ok();
+  return status;
 }
 
 }  // namespace net

@@ -51,9 +51,9 @@ struct Registry {
 };
 
 Registry& Reg() {
-  // Intentionally leaked: worker threads owned by static ThreadPool objects
-  // may run their thread_local shard destructors during static destruction,
-  // after a function-local static Registry would already be gone.
+  // Intentionally leaked: a thread that outlives main (one owned by a static
+  // object) may run its thread_local shard destructor during static
+  // destruction, after a function-local static Registry would be gone.
   static Registry* registry = std::make_unique<Registry>().release();
   return *registry;
 }

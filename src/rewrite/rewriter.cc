@@ -1,6 +1,5 @@
 #include "rewrite/rewriter.h"
 
-#include <chrono>
 #include <utility>
 
 #include "analysis/validate.h"
@@ -17,24 +16,6 @@
 namespace rpqi {
 
 namespace {
-
-/// Accumulates the enclosing scope's wall-clock time into a stats field.
-class StageTimer {
- public:
-  explicit StageTimer(int64_t* out_us)
-      : out_us_(out_us), start_(Budget::Clock::now()) {}
-  StageTimer(const StageTimer&) = delete;
-  StageTimer& operator=(const StageTimer&) = delete;
-  ~StageTimer() {
-    *out_us_ += std::chrono::duration_cast<std::chrono::microseconds>(
-                    Budget::Clock::now() - start_)
-                    .count();
-  }
-
- private:
-  int64_t* out_us_;
-  Budget::Clock::time_point start_;
-};
 
 RewritingAlphabet MakeAlphabet(const Nfa& query, const std::vector<Nfa>& views) {
   RewritingAlphabet alphabet;
@@ -112,7 +93,7 @@ std::vector<int> ProjectionMapping(const RewritingAlphabet& alphabet) {
 }
 
 /// The exact Theorem 7 pipeline. `stats` is an out-parameter so a failed run
-/// still reports the sizes/timings of the stages it completed.
+/// still reports the sizes of the stages it completed.
 StatusOr<MaximalRewriting> ComputeExactRewriting(
     const Nfa& query, const std::vector<Nfa>& views,
     const RewritingOptions& options, const RewritingAlphabet& alphabet,
@@ -125,17 +106,14 @@ StatusOr<MaximalRewriting> ComputeExactRewriting(
   TwoWayNfa a1(0);
   Nfa a3(0);
   {
-    StageTimer timer(&stats->a1_build_us);
-    {
-      obs::Span span("rewrite.A1");
-      a1 = BuildA1(query, alphabet);
-      span.Note("states", a1.NumStates());
-    }
-    {
-      obs::Span span("rewrite.A3");
-      a3 = BuildA3(views, alphabet);
-      span.Note("states", a3.NumStates());
-    }
+    obs::Span span("rewrite.A1");
+    a1 = BuildA1(query, alphabet);
+    span.Note("states", a1.NumStates());
+  }
+  {
+    obs::Span span("rewrite.A3");
+    a3 = BuildA3(views, alphabet);
+    span.Note("states", a3.NumStates());
   }
   stats->a1_states = a1.NumStates();
   stats->a3_states = a3.NumStates();
@@ -160,7 +138,6 @@ StatusOr<MaximalRewriting> ComputeExactRewriting(
   LazySubsetDfa a3_dfa(a3);
   LazyProductDfa product({&a2, &a3_dfa});
   StatusOr<Dfa> product_dfa = [&] {
-    StageTimer timer(&stats->product_us);
     obs::Span span("rewrite.A2xA3");
     auto result = MaterializeLazyDfa(&product, options.max_product_states,
                                      options.budget);
@@ -180,7 +157,6 @@ StatusOr<MaximalRewriting> ComputeExactRewriting(
   // A4: project onto Σ_E±, so it accepts exactly the *bad* view words.
   Nfa a4(0);
   {
-    StageTimer timer(&stats->projection_us);
     obs::Span span("rewrite.A4");
     a4 = Trim(Project(DfaToNfa(*product_dfa), ProjectionMapping(alphabet),
                       2 * alphabet.num_views));
@@ -196,10 +172,9 @@ StatusOr<MaximalRewriting> ComputeExactRewriting(
   }
 
   // R = complement of A4.
-  StageTimer timer(&stats->complement_us);
   obs::Span r_span("rewrite.R");
-  StatusOr<Dfa> a4_dfa = DeterminizeWithLimit(a4, options.max_subset_states,
-                                              options.budget, options.threads);
+  StatusOr<Dfa> a4_dfa =
+      DeterminizeWithLimit(a4, options.max_subset_states, options.budget);
   if (!a4_dfa.ok()) return a4_dfa.status();
   RPQI_RETURN_IF_ERROR(BudgetCheck(options.budget));
   Dfa rewriting = ComplementDfa(*a4_dfa);
@@ -233,7 +208,6 @@ StatusOr<MaximalRewriting> ComputePartialRewriting(
   static const obs::Counter fallbacks("rewrite.partial_fallbacks");
   obs::Span span("rewrite.partial");
   fallbacks.Increment();
-  StageTimer timer(&stats.partial_us);
   // The fallback runs on a grace budget: the same cancellation flag, a reset
   // state quota, and a deadline of 2x the originally granted window — so a
   // caller that asked for T ms observes a hard bound of ~2T overall.

@@ -53,14 +53,10 @@ struct RewritingOptions {
   bool allow_partial = true;
   int partial_max_word_length = 3;
   int64_t partial_max_words = 2048;
-  /// Worker threads for the A4 subset-construction frontier (see
-  /// DeterminizeWithLimit): 1 = serial, <= 0 = the process-wide default from
-  /// SetGlobalThreadCount. Results are bit-identical to the serial path.
-  int threads = 1;
 };
 
-/// Size and per-stage wall-clock accounting for the pipeline (Theorem 7's
-/// objects). Stage timings are in microseconds.
+/// Sizes of the pipeline's objects (Theorem 7). Per-stage wall time lives in
+/// the `rewrite.A1/A3/A2xA3/A4/R/partial` trace spans.
 struct RewritingStats {
   int a1_states = 0;                 // two-way automaton A1
   int a3_states = 0;                 // structure/conformance NFA A3
@@ -68,11 +64,6 @@ struct RewritingStats {
   int product_states = 0;            // materialized A2 ∩ A3
   int a4_states = 0;                 // after projection onto Σ_E±
   int rewriting_states = 0;          // final DFA for the maximal rewriting
-  int64_t a1_build_us = 0;           // A1/A3 construction
-  int64_t product_us = 0;            // A2 ∩ A3 lazy materialization
-  int64_t projection_us = 0;         // A4 projection + trim
-  int64_t complement_us = 0;         // determinize + complement + minimize
-  int64_t partial_us = 0;            // certified-partial fallback, if taken
   int64_t partial_words_checked = 0;  // words probed by the fallback
 };
 

@@ -14,8 +14,9 @@ namespace service {
 /// per-request execution quotas. Zero means "no limit" for every field except
 /// queue_depth.
 struct AdmissionPolicy {
-  /// Requests accepted but not yet executing; one more than this many
-  /// outstanding requests is rejected with the `overloaded` error code.
+  /// Batches accepted but not yet executing (the transport submits each
+  /// batch of up to --max-batch request lines as one task); every request of
+  /// a batch past this bound is rejected with the `overloaded` error code.
   int queue_depth = 64;
   /// Deadline applied when a request carries no timeout_ms of its own.
   int64_t default_timeout_ms = 0;

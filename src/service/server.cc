@@ -1,6 +1,7 @@
 #include "service/server.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -12,7 +13,6 @@
 #include "answer/cda.h"
 #include "answer/oda.h"
 #include "answer/views.h"
-#include "base/thread_pool.h"
 #include "fault/fault.h"
 #include "graphdb/eval.h"
 #include "obs/metrics.h"
@@ -27,10 +27,6 @@
 namespace rpqi {
 namespace service {
 namespace {
-
-// Requests larger than this are rejected before parsing; a line this long is
-// a protocol error or an attack, not a query.
-constexpr size_t kMaxLineBytes = size_t{1} << 20;
 
 constexpr int64_t kMaxSleepMs = 10000;
 
@@ -382,12 +378,6 @@ SnapshotStore& Server::StoreFor(const Request& request) {
 Server::ParseOutcome Server::ParseRequest(const std::string& line,
                                           Request* request,
                                           std::string* error_response) {
-  if (line.size() > kMaxLineBytes) {
-    *error_response = ErrorResponse(
-        Json::Null(), "invalid_request",
-        "request line exceeds " + std::to_string(kMaxLineBytes) + " bytes");
-    return ParseOutcome::kInvalid;
-  }
   std::string_view payload = line;
   // Models a request cut mid-line by the transport: the parser must fail it
   // as a clean invalid_request, never crash or stall.
@@ -1036,12 +1026,6 @@ StatusOr<JsonObject> Server::OpAdmin(const Request& request) {
       "' (reload|stats|sleep|shutdown)");
 }
 
-void Server::WriteLine(std::ostream* out, const std::string& line) {
-  MutexLock lock(&writer_mu_);
-  *out << line << '\n';
-  out->flush();
-}
-
 std::string Server::HandleLine(const std::string& line) {
   Request request;
   std::string error_response;
@@ -1070,6 +1054,8 @@ std::shared_ptr<Server::ParsedBatch> Server::ParseBatch(
         break;  // quota rejection; counted inside ParseRequest
     }
     batch->entries.push_back(std::move(entry));
+    // Lines after a shutdown request are neither admitted nor answered.
+    if (batch->wants_shutdown) break;
   }
   return batch;
 }
@@ -1110,61 +1096,6 @@ std::vector<std::string> Server::RejectBatch(ParsedBatch* batch,
   }
   batch->entries.clear();  // releases quota tickets, as in ExecuteBatch
   return responses;
-}
-
-Status Server::Serve(std::istream& in, std::ostream& out) {
-  static const obs::Counter accepted("service.requests.accepted");
-  static const obs::Counter rejected("service.rejected.queue_full");
-  static const obs::Counter invalid("service.rejected.invalid");
-  // order: only the serve loop's own getline condition reads this flag; the
-  // worker that sets it synchronizes with the loop via the pool queue
-  shutdown_requested_.store(false, std::memory_order_relaxed);
-  {
-    WorkerPool pool(options_.threads, options_.admission.queue_depth);
-    std::string line;
-    // order: see the store above — the flag is a loop-exit hint, not a
-    // payload publication
-    while (!shutdown_requested_.load(std::memory_order_relaxed) &&
-           std::getline(in, line)) {
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      auto request = std::make_shared<Request>();
-      std::string error_response;
-      ParseOutcome outcome = ParseRequest(line, request.get(), &error_response);
-      if (outcome != ParseOutcome::kOk) {
-        // kRejected (namespace quota) has its own counter inside ParseRequest;
-        // only malformed envelopes count as invalid.
-        if (outcome == ParseOutcome::kInvalid) invalid.Increment();
-        WriteLine(&out, error_response);
-        continue;
-      }
-      if (request->is_shutdown) {
-        // Stop reading after this request; it still goes through the queue so
-        // its response serializes behind everything accepted before it.
-        // order: same flag-only contract as the loop condition above
-        shutdown_requested_.store(true, std::memory_order_relaxed);
-      }
-      Json id = request->id;  // for the rejection path below
-      // Models a queue-full burst without needing real backpressure: the
-      // request takes the exact `overloaded` rejection path below.
-      bool submitted = !RPQI_FAULT_FIRED("service.queue_full") &&
-                       pool.TrySubmit([this, &out, request] {
-                         WriteLine(&out, ExecuteToResponse(*request));
-                       });
-      if (submitted) {
-        accepted.Increment();
-      } else {
-        rejected.Increment();
-        WriteLine(&out, ErrorResponse(
-                            id, "overloaded",
-                            "request queue full (depth " +
-                                std::to_string(options_.admission.queue_depth) +
-                                ")"));
-      }
-    }
-    pool.Drain();
-  }
-  out.flush();
-  return Status::Ok();
 }
 
 }  // namespace service

@@ -1,19 +1,14 @@
 #ifndef RPQI_SERVICE_SERVER_H_
 #define RPQI_SERVICE_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <istream>
 #include <map>
 #include <memory>
-#include <ostream>
 #include <string>
 #include <vector>
 
-#include "base/mutex.h"
 #include "base/status.h"
-#include "base/thread_annotations.h"
 #include "service/admission.h"
 #include "service/breaker.h"
 #include "service/json.h"
@@ -42,8 +37,8 @@ struct NamespaceOptions {
 /// Configuration for one Server instance. Zero-valued quota fields mean
 /// "unlimited"; see AdmissionPolicy for the per-request derivation.
 struct ServerOptions {
-  /// Worker threads executing requests (the request-level concurrency; the
-  /// per-request pipeline stays serial to avoid nested parallelism).
+  /// Worker threads executing request batches (`rpqi serve --threads`); each
+  /// request's pipeline runs serially on its worker.
   int threads = 1;
   AdmissionPolicy admission;
   /// Plan-cache capacity; <= 0 disables caching.
@@ -80,10 +75,13 @@ struct ServerOptions {
 std::string ErrorResponseLine(const Json& id, const std::string& code,
                               const std::string& message);
 
-/// The long-lived query-serving engine behind `rpqi serve`: reads NDJSON
-/// requests (one JSON object per line) from an input stream, executes them on
-/// a bounded worker pool, and writes one NDJSON response line per request.
-/// Responses may be emitted out of order; each echoes the request's `id`.
+/// The long-lived query-serving engine behind `rpqi serve`: parses NDJSON
+/// requests (one JSON object per line) into batches and executes them,
+/// producing one NDJSON response line per request that echoes its `id`. It
+/// owns no I/O: the request loop in src/net/tcp_server.h reads the lines —
+/// from TCP connections or from stdin as one more connection — runs batches
+/// on its worker pool, and writes each connection's responses in request
+/// order.
 ///
 /// Protocol (see README, "The serve protocol", for the full reference):
 ///   {"id":1,"op":"eval","query":"(a|b)* c","timeout_ms":500}
@@ -98,12 +96,8 @@ std::string ErrorResponseLine(const Json& id, const std::string& code,
 /// resource_exhausted, deadline_exceeded, cancelled) — request failures are
 /// responses, never process exits.
 ///
-/// Lifecycle: Serve() returns after the input hits EOF (or an
-/// `admin shutdown` request) *and* every accepted request has been answered
-/// (graceful drain). A Server may Serve() repeatedly; the plan cache and
-/// snapshot store persist across calls — that is the whole point. The TCP
-/// transport (src/net/tcp_server.h) bypasses Serve() and drives the server
-/// through ParseBatch/ExecuteBatch instead.
+/// Lifecycle: one Server outlives any number of serve loops; the plan cache
+/// and snapshot store persist across them — that is the whole point.
 class Server {
  public:
   explicit Server(const ServerOptions& options);
@@ -116,10 +110,6 @@ class Server {
   /// configured namespace. Split from the constructor so the CLI can map a
   /// bad --db to a clean exit code.
   Status Init();
-
-  /// Blocking serve loop; returns Ok after a clean drain. The streams are
-  /// borrowed for the duration of the call.
-  Status Serve(std::istream& in, std::ostream& out);
 
   /// Parses and executes one request line synchronously on the calling
   /// thread and returns the response line (no trailing newline). The
@@ -136,11 +126,12 @@ class Server {
   /// admission (deadline anchoring, namespace-quota tickets) happens here, at
   /// arrival time, so time queued behind other batches counts against each
   /// request's own deadline. Lines that fail parsing or admission carry a
-  /// ready-made error response inside the batch.
+  /// ready-made error response inside the batch. Parsing stops after an
+  /// `admin shutdown` request: the lines behind it are not admitted.
   std::shared_ptr<ParsedBatch> ParseBatch(const std::vector<std::string>& lines);
 
-  /// True when the batch contains an `admin shutdown` request — the transport
-  /// should stop reading new input but still execute this batch.
+  /// True when the batch ends with an `admin shutdown` request — the
+  /// transport should stop reading new input but still execute this batch.
   static bool RequestsShutdown(const ParsedBatch& batch);
 
   /// Executes every request in the batch on the calling thread and returns
@@ -199,11 +190,6 @@ class Server {
   /// The snapshot store a request routes to: its namespace's, or the default.
   SnapshotStore& StoreFor(const Request& request);
 
-  /// Emits one response line + flush atomically, so concurrent workers can
-  /// never interleave partial lines on the shared output stream.
-  void WriteLine(std::ostream* out, const std::string& line)
-      RPQI_EXCLUDES(writer_mu_);
-
   ServerOptions options_;
   PlanCache plan_cache_;
   PlanDiskStore plan_disk_;
@@ -212,11 +198,6 @@ class Server {
   /// (the Namespace objects themselves are internally synchronized).
   std::map<std::string, std::unique_ptr<Namespace>> namespaces_;
   CircuitBreaker breaker_;
-  /// Serializes whole-line writes to the output stream borrowed by Serve().
-  /// A member (not a Serve-local) so the capability has a name the analysis
-  /// and the lock-order lint can track across WriteLine callers.
-  Mutex writer_mu_;
-  std::atomic<bool> shutdown_requested_{false};
 };
 
 }  // namespace service

@@ -190,71 +190,6 @@ TEST(StatusTest, ExitCodesDistinguishEveryFailureClass) {
   EXPECT_EQ(ExitCodeForStatus(Status::Cancelled("x")), 5);
 }
 
-TEST(ThreadPoolTest, SharedGrowthKeepsEarlierPoolsUsable) {
-  // Regression test: Shared(n) used to destroy and replace the process-wide
-  // pool when asked to grow, racing any thread still running ParallelFor on
-  // the old pointer. Now growth retains earlier pools: pointers stay valid
-  // and runnable while other threads grow and use larger pools concurrently.
-  ThreadPool* small = ThreadPool::Shared(2);
-  ASSERT_GE(small->num_threads(), 2);
-  constexpr int kIterations = 50;
-  constexpr int64_t kItems = 1000;
-  std::atomic<int64_t> total{0};
-  std::atomic<bool> failed{false};
-  std::thread hammer([&] {
-    // Keeps the original pool busy with batches while the main thread
-    // requests larger pools (the old code deleted `small` under us here).
-    for (int i = 0; i < kIterations; ++i) {
-      std::atomic<int64_t> sum{0};
-      small->ParallelFor(kItems,
-                         [&](int64_t j) { sum.fetch_add(j + 1); });
-      if (sum.load() != kItems * (kItems + 1) / 2) failed.store(true);
-      total.fetch_add(sum.load());
-    }
-  });
-  for (int n = 3; n <= 6; ++n) {
-    ThreadPool* grown = ThreadPool::Shared(n);
-    ASSERT_GE(grown->num_threads(), n);
-    std::atomic<int64_t> sum{0};
-    grown->ParallelFor(kItems, [&](int64_t j) { sum.fetch_add(j + 1); });
-    EXPECT_EQ(sum.load(), kItems * (kItems + 1) / 2);
-  }
-  hammer.join();
-  EXPECT_FALSE(failed.load());
-  EXPECT_EQ(total.load(), kIterations * (kItems * (kItems + 1) / 2));
-  // The original pointer still works after every growth call.
-  std::atomic<int64_t> after{0};
-  small->ParallelFor(kItems, [&](int64_t) { after.fetch_add(1); });
-  EXPECT_EQ(after.load(), kItems);
-  // Asking for fewer threads reuses an existing pool instead of shrinking.
-  EXPECT_GE(ThreadPool::Shared(1)->num_threads(), 1);
-}
-
-TEST(ThreadPoolTest, ConcurrentParallelForCallsOnOnePoolAreSerialized) {
-  // Regression test: two threads submitting ParallelFor to the same pool used
-  // to corrupt the epoch/cursor protocol (lost iterations, hangs). The
-  // submission mutex must make concurrent batches each run exactly once.
-  ThreadPool pool(4);
-  constexpr int kCallers = 4;
-  constexpr int kBatches = 25;
-  constexpr int64_t kItems = 500;
-  std::atomic<int64_t> grand_total{0};
-  std::vector<std::thread> callers;
-  callers.reserve(kCallers);
-  for (int caller = 0; caller < kCallers; ++caller) {
-    callers.emplace_back([&] {
-      for (int batch = 0; batch < kBatches; ++batch) {
-        std::atomic<int64_t> sum{0};
-        pool.ParallelFor(kItems, [&](int64_t) { sum.fetch_add(1); });
-        grand_total.fetch_add(sum.load());
-      }
-    });
-  }
-  for (std::thread& caller : callers) caller.join();
-  EXPECT_EQ(grand_total.load(),
-            int64_t{kCallers} * kBatches * kItems);
-}
-
 std::vector<char*> Argv(const std::vector<std::string>& args) {
   // ParseFlags takes argv as char**; the strings outlive the call.
   std::vector<char*> argv;
@@ -392,37 +327,6 @@ struct FaultGuard {
   FaultGuard() { fault::DisarmAll(); }
   ~FaultGuard() { fault::DisarmAll(); }
 };
-
-TEST(ThreadPoolTest, SpawnFailureDegradesToSerialParallelFor) {
-  FaultGuard guard;
-  obs::MetricsSnapshot before = obs::TakeMetricsSnapshot();
-  // Every spawn attempt fails: the pool degrades to zero workers and
-  // ParallelFor runs entirely on the caller — correct, just serial. No
-  // exception may escape the constructor or ParallelFor.
-  ASSERT_TRUE(fault::Configure("thread_pool.spawn=every:1").ok());
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 1);
-  std::atomic<int64_t> sum{0};
-  pool.ParallelFor(100, [&sum](int64_t i) {
-    sum.fetch_add(i, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(sum.load(), 100 * 99 / 2);
-  obs::MetricsSnapshot delta = obs::TakeMetricsSnapshot().DeltaSince(before);
-  EXPECT_EQ(delta.CounterValue("thread_pool.spawn_failures"), 1);
-}
-
-TEST(ThreadPoolTest, PartialSpawnFailureKeepsEarlierWorkers) {
-  FaultGuard guard;
-  // The second spawn fails; the pool keeps the first worker (1 + caller).
-  ASSERT_TRUE(fault::Configure("thread_pool.spawn=once:2").ok());
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 2);
-  std::atomic<int64_t> count{0};
-  pool.ParallelFor(50, [&count](int64_t) {
-    count.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(count.load(), 50);
-}
 
 TEST(WorkerPoolTest, TotalSpawnFailureRunsTasksInlineOnSubmitter) {
   FaultGuard guard;

@@ -1,4 +1,4 @@
-// Chaos soak for the serve path: a multithreaded Server::Serve run over
+// Chaos soak for the serve path: a multithreaded stdio request loop over
 // thousands of mixed requests with seeded faults armed at every layer
 // (snapshot I/O, plan cache, automata state allocation, worker stalls, queue
 // bursts, transport truncation). The invariants are the robustness contract:
@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
@@ -69,6 +71,27 @@ std::string WriteTempColumnarGraph(const std::string& name,
       WriteColumnarFile(path, *db, alphabet, FingerprintGraphText(text));
   RPQI_CHECK(written.ok());
   return path;
+}
+
+/// Runs `in` to EOF through one stream connection of the request loop — the
+/// path `rpqi serve` takes for stdin/stdout — over temp files (regular files
+/// never block), one request per batch, and copies what the loop wrote to
+/// `out`.
+Status ServeStream(Server& server, std::istream& in, std::ostream& out) {
+  const std::string base = testing::TempDir() + "chaos_stream_" +
+                           std::to_string(::getpid());
+  std::ofstream(base + ".in") << in.rdbuf();
+  UniqueFd in_fd(::open((base + ".in").c_str(), O_RDONLY));
+  UniqueFd out_fd(
+      ::open((base + ".out").c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600));
+  net::TcpTransportOptions options;
+  options.max_batch = 1;
+  Status served = net::TcpTransport(&server, options)
+                      .ServeStream(in_fd.get(), out_fd.get());
+  std::stringstream written;
+  written << std::ifstream(base + ".out").rdbuf();
+  out << written.str();
+  return served;
 }
 
 int64_t EnvInt(const char* name, int64_t fallback) {
@@ -178,7 +201,7 @@ TEST(ChaosTest, SoakServeLoopUnderSeededFaults) {
   }
   std::istringstream in(input);
   std::ostringstream out;
-  ASSERT_TRUE(server.Serve(in, out).ok());
+  ASSERT_TRUE(ServeStream(server, in, out).ok());
 
   // Requests in == responses out, every one well-formed with a known status.
   std::istringstream responses(out.str());
@@ -337,7 +360,7 @@ TEST(ChaosTest, EveryRequestStallsStillDrainCleanly) {
   }
   std::istringstream in(input);
   std::ostringstream out;
-  ASSERT_TRUE(server.Serve(in, out).ok());
+  ASSERT_TRUE(ServeStream(server, in, out).ok());
   std::istringstream responses(out.str());
   std::string line;
   int count = 0;

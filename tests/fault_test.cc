@@ -39,7 +39,6 @@ const char* const kKnownSites[] = {
     "snapshot.open",
     "snapshot.read",
     "snapshot.reload_swap",
-    "thread_pool.spawn",
     "worker_pool.spawn",
     "worker_pool.task_start",
 };

@@ -639,6 +639,39 @@ TEST(TcpTransportTest, ShutdownOnOneConnectionDrainsTheOthers) {
   server.Join();  // Serve() returns on its own after the drain
 }
 
+// One shutdown rule for every connection: lines behind an `admin shutdown`
+// in the same read are not parsed, admitted, executed or answered.
+TEST(TcpTransportTest, LinesAfterShutdownInTheSameReadAreNotAnswered) {
+  std::string db = WriteTempFile("net_tcp_shutdown_read.txt", "a r b\n");
+  TestServer server(BaseOptions(db));
+  TestClient client = TestClient::Connect(server.port());
+  ASSERT_TRUE(client.ok());
+  client.Send(
+      "{\"id\":1,\"op\":\"admin\",\"action\":\"shutdown\"}\n"
+      "{\"id\":2,\"op\":\"admin\",\"action\":\"stats\"}\n");
+  std::string bye = client.ReadLine();
+  EXPECT_EQ(StatusOf(bye), "ok") << bye;
+  EXPECT_EQ(MustParse(bye).Find("id")->int_value(), 1);
+  EXPECT_EQ(client.ReadLine(2000), "");  // the drain closes the connection
+  server.Join();  // Serve() returns on its own
+}
+
+// The framer's limit is the only request-size limit: raising it admits a
+// request past the old hidden 1 MiB cap.
+TEST(TcpTransportTest, RaisedLineLimitAdmitsATwoMebibyteRequest) {
+  std::string db = WriteTempFile("net_tcp_big_line.txt", "a r b\n");
+  TcpTransportOptions transport_options;
+  transport_options.max_line_bytes = size_t{4} << 20;
+  TestServer server(BaseOptions(db), transport_options);
+  TestClient client = TestClient::Connect(server.port());
+  ASSERT_TRUE(client.ok());
+  client.SendLine(R"({"id":1,"op":"eval","query":"r","pad":")" +
+                  std::string(size_t{2} << 20, 'x') + "\"}");
+  std::string response = client.ReadLine();
+  EXPECT_EQ(StatusOf(response), "ok") << response.substr(0, 200);
+  EXPECT_EQ(AnswerCountOf(response), 1);
+}
+
 TEST(TcpTransportTest, EofMidLineStillExecutesTheFragment) {
   std::string db = WriteTempFile("net_tcp_eof.txt", "a r b\n");
   TestServer server(BaseOptions(db));

@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "base/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -85,16 +84,6 @@ TEST(MetricsTest, HistogramBucketsAndSum) {
   int64_t bucket_total = 0;
   for (int64_t bucket : it->second.buckets) bucket_total += bucket;
   EXPECT_EQ(bucket_total, 3);
-}
-
-TEST(MetricsTest, ParallelForCountersSumExactly) {
-  static const Counter counter("obs_test.parallel_for");
-  ThreadPool pool(4);
-  MetricsSnapshot before = TakeMetricsSnapshot();
-  constexpr int64_t kItems = 10000;
-  pool.ParallelFor(kItems, [&](int64_t) { counter.Increment(); });
-  MetricsSnapshot delta = TakeMetricsSnapshot().DeltaSince(before);
-  EXPECT_EQ(delta.CounterValue("obs_test.parallel_for"), kItems);
 }
 
 TEST(MetricsTest, NdjsonContainsEveryKind) {

@@ -351,60 +351,6 @@ TEST(AntichainDifferentialTest, SubsumptionSignatureContract) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Parallel frontier vs serial: bit-identical results.
-
-void ExpectSameDfa(const Dfa& serial, const Dfa& parallel) {
-  ASSERT_EQ(serial.NumStates(), parallel.NumStates());
-  ASSERT_EQ(serial.num_symbols(), parallel.num_symbols());
-  EXPECT_EQ(serial.initial(), parallel.initial());
-  for (int s = 0; s < serial.NumStates(); ++s) {
-    EXPECT_EQ(serial.IsAccepting(s), parallel.IsAccepting(s));
-    for (int symbol = 0; symbol < serial.num_symbols(); ++symbol) {
-      ASSERT_EQ(serial.Next(s, symbol), parallel.Next(s, symbol))
-          << "state " << s << " symbol " << symbol;
-    }
-  }
-}
-
-void ExpectSameNfa(const Nfa& serial, const Nfa& parallel) {
-  ASSERT_EQ(serial.NumStates(), parallel.NumStates());
-  ASSERT_EQ(serial.num_symbols(), parallel.num_symbols());
-  ASSERT_EQ(serial.NumTransitions(), parallel.NumTransitions());
-  for (int s = 0; s < serial.NumStates(); ++s) {
-    EXPECT_EQ(serial.IsInitial(s), parallel.IsInitial(s));
-    EXPECT_EQ(serial.IsAccepting(s), parallel.IsAccepting(s));
-    const auto& st = serial.TransitionsFrom(s);
-    const auto& pt = parallel.TransitionsFrom(s);
-    ASSERT_EQ(st.size(), pt.size()) << "state " << s;
-    for (size_t i = 0; i < st.size(); ++i) {
-      EXPECT_EQ(st[i].symbol, pt[i].symbol);
-      EXPECT_EQ(st[i].to, pt[i].to);
-    }
-  }
-}
-
-TEST(ParallelFrontierTest, DeterminizeBitIdenticalAcrossThreadCounts) {
-  std::mt19937_64 rng(BaseSeed() ^ 0x2545f4914f6cdd1dULL);
-  RandomAutomatonOptions options;
-  options.num_states = 9;
-  options.num_symbols = 3;
-  options.transition_density = 1.5;
-  for (int iteration = 0; iteration < 150; ++iteration) {
-    RPQI_FUZZ_SCOPE(iteration);
-    Nfa nfa = RandomNfa(rng, options);
-    StatusOr<Dfa> serial =
-        DeterminizeWithLimit(nfa, /*max_states=*/1 << 16, nullptr, 1);
-    ASSERT_TRUE(serial.ok());
-    for (int threads : {2, 4}) {
-      StatusOr<Dfa> parallel =
-          DeterminizeWithLimit(nfa, /*max_states=*/1 << 16, nullptr, threads);
-      ASSERT_TRUE(parallel.ok());
-      ExpectSameDfa(*serial, *parallel);
-    }
-  }
-}
-
 TEST(AntichainDifferentialTest, RepeatedSearchesReportIdenticalCounters) {
   // Accounting regression test: FindAcceptedWord on the same lazy product
   // must report identical counters every run. The lazy components memoize
@@ -431,23 +377,6 @@ TEST(AntichainDifferentialTest, RepeatedSearchesReportIdenticalCounters) {
     EXPECT_EQ(first.states_explored, second.states_explored);
     EXPECT_EQ(first.states_pruned, second.states_pruned);
     EXPECT_EQ(first.antichain_size, second.antichain_size);
-  }
-}
-
-TEST(ParallelFrontierTest, IntersectBitIdenticalAcrossThreadCounts) {
-  std::mt19937_64 rng(BaseSeed() ^ 0x94d049bb133111ebULL);
-  RandomAutomatonOptions options;
-  options.num_states = 8;
-  options.num_symbols = 2;
-  options.transition_density = 1.3;
-  for (int iteration = 0; iteration < 150; ++iteration) {
-    RPQI_FUZZ_SCOPE(iteration);
-    Nfa a = RandomNfa(rng, options);
-    Nfa b = RandomNfa(rng, options);
-    Nfa serial = Intersect(a, b, 1);
-    for (int threads : {2, 4}) {
-      ExpectSameNfa(serial, Intersect(a, b, threads));
-    }
   }
 }
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -20,7 +23,9 @@
 
 #include "automata/flat.h"
 #include "automata/nfa.h"
+#include "base/socket.h"
 #include "fault/fault.h"
+#include "net/tcp_server.h"
 #include "obs/metrics.h"
 #include "service/admission.h"
 #include "service/breaker.h"
@@ -535,7 +540,28 @@ TEST(ServerTest, CounterDeltasAccountTheRequestExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// Serve() loop: drain, ordering, and the full-stack stress
+// The stdio request loop: drain, ordering, and the full-stack stress
+
+/// Runs `in` to EOF through one stream connection of the request loop — the
+/// path `rpqi serve` takes for stdin/stdout — over temp files (regular files
+/// never block), and copies what the loop wrote to `out`.
+Status ServeStream(Server& server, std::istream& in, std::ostream& out,
+                   int max_batch = 64) {
+  const std::string base = testing::TempDir() + "serve_stream_" +
+                           std::to_string(::getpid());
+  std::ofstream(base + ".in") << in.rdbuf();
+  UniqueFd in_fd(::open((base + ".in").c_str(), O_RDONLY));
+  UniqueFd out_fd(
+      ::open((base + ".out").c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600));
+  net::TcpTransportOptions options;
+  options.max_batch = max_batch;
+  Status served = net::TcpTransport(&server, options)
+                      .ServeStream(in_fd.get(), out_fd.get());
+  std::stringstream written;
+  written << std::ifstream(base + ".out").rdbuf();
+  out << written.str();
+  return served;
+}
 
 TEST(ServerTest, ServeAnswersEveryLineAndDrainsOnEof) {
   std::string path = WriteTempGraph("srv_loop.txt", "a r b\nb r c\n");
@@ -550,7 +576,7 @@ TEST(ServerTest, ServeAnswersEveryLineAndDrainsOnEof) {
       "garbage\n"
       R"({"id":3,"op":"admin","action":"stats"})" "\n");
   std::ostringstream out;
-  ASSERT_TRUE(server.Serve(in, out).ok());
+  ASSERT_TRUE(ServeStream(server, in, out).ok());
   std::istringstream lines(out.str());
   std::string line;
   std::multiset<std::string> ids;
@@ -568,7 +594,7 @@ TEST(ServerTest, ShutdownRequestStopsReadingFurtherInput) {
       R"({"id":1,"op":"admin","action":"shutdown"})" "\n"
       R"({"id":2,"op":"admin","action":"stats"})" "\n");
   std::ostringstream out;
-  ASSERT_TRUE(server.Serve(in, out).ok());
+  ASSERT_TRUE(ServeStream(server, in, out).ok());
   EXPECT_NE(out.str().find("\"draining\":true"), std::string::npos);
   EXPECT_EQ(out.str().find("\"id\":2"), std::string::npos);
 }
@@ -612,7 +638,8 @@ TEST(ServerStressTest, MixedLoadWithReloadsLosesNoRequests) {
   }
   std::istringstream in(in_text.str());
   std::ostringstream out;
-  ASSERT_TRUE(server.Serve(in, out).ok());
+  // One request per batch: 1000 pool tasks race the reloads.
+  ASSERT_TRUE(ServeStream(server, in, out, /*max_batch=*/1).ok());
 
   std::istringstream lines(out.str());
   std::string line;
@@ -1029,7 +1056,7 @@ TEST(ServerTest, ShutdownDrainsQueuedRequestsAndInFlightReload) {
       R"({"id":5,"op":"admin","action":"shutdown"})" "\n"
       R"({"id":6,"op":"eval","query":"r"})" "\n");
   std::ostringstream out;
-  ASSERT_TRUE(server.Serve(in, out).ok());
+  ASSERT_TRUE(ServeStream(server, in, out, /*max_batch=*/1).ok());
   std::istringstream lines(out.str());
   std::string line;
   std::set<std::string> ids;

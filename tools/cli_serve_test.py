@@ -6,18 +6,24 @@ Usage: cli_serve_test.py PATH_TO_RPQI_BINARY
 Drives the built `rpqi` binary end to end:
   * a mixed batch of eval/rewrite/answer/admin requests, each answered
     exactly once with the request id echoed, exit 0 on clean EOF drain;
-  * plan-cache hit/miss transitions and per-request counter deltas;
+  * plan-cache hit/miss transitions and per-request counter deltas
+    (--max-batch 1, so each request is its own submission);
+  * stdio responses in request order, even when a later request finishes
+    first on another worker;
   * a CDA candidate space past the int range answered as
     `invalid_request`, with the server still answering afterwards;
-  * deterministic queue-full rejection (--threads 1 --queue-depth 1 with an
-    `admin sleep` occupying the worker) producing `overloaded` responses
-    in-band, not a process exit;
+  * deterministic queue-full rejection (--threads 1 --queue-depth 1
+    --max-batch 1 with an `admin sleep` occupying the worker) producing
+    `overloaded` responses in-band, not a process exit;
   * `admin reload` hot-swapping the snapshot mid-batch: requests before and
     after the swap all answered, snapshot_version advances;
   * binary columnar snapshots: `rpqi compact` conversion, live reload onto
     the mmap path with identical answers, torn-file reloads degrading to
     structured `unavailable` responses;
   * `admin shutdown` stops reading further input and still drains cleanly;
+  * a 128 MiB newline-free stdin line is answered `invalid_request` at a
+    bounded memory cost (peak RSS via os.wait4), and the next line is
+    served; a closed stdin or stdout exits 2 instead of hanging;
   * the ParseFlags regression: a trailing flag with no value exits 2 with a
     "requires a value" diagnostic (not "unexpected argument");
   * fault injection end to end: `--fault snapshot.open=once:2` makes the
@@ -173,7 +179,9 @@ def main():
         'this is not json',
         '{"id":5,"op":"admin","action":"stats"}',
     ]
-    proc, records = serve(binary, batch, "--db", db1)
+    # --max-batch 1: request 2 must find request 1's plan in the plan cache
+    # (a per-request service.plan_cache.hit), not in a shared batch context.
+    proc, records = serve(binary, batch, "--db", db1, "--max-batch", "1")
     check("mixed batch exits 0 on EOF drain", proc.returncode == 0,
           proc.stderr)
     ids = by_id(records)
@@ -198,6 +206,23 @@ def main():
     check("admin stats sees cache and snapshot",
           ids[5][0]["plan_cache"]["hits"] >= 1
           and ids[5][0]["snapshot"]["version"] == 1)
+
+    # --- stdio responses keep request order -------------------------------
+    # Two reads become two batches on two workers. The first sleeps, so the
+    # second finishes first; its response must still come second.
+    proc = subprocess.Popen([binary, "serve", "--db", db1, "--threads", "2"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    proc.stdin.write('{"id":1,"op":"admin","action":"sleep","ms":300}\n')
+    proc.stdin.flush()
+    time.sleep(0.1)
+    proc.stdin.write('{"id":2,"op":"eval","query":"r"}\n')
+    proc.stdin.flush()
+    out, err = proc.communicate(timeout=60)
+    order = [json.loads(line)["id"] for line in out.splitlines()
+             if line.strip()]
+    check("stdio responses keep request order", order == [1, 2],
+          out + err)
 
     # --- CDA candidate space past the int range --------------------------
     # objects² · relations used to be computed in int: 2^16 objects wrapped
@@ -224,12 +249,13 @@ def main():
           proc.stdout)
 
     # --- deterministic queue-full rejection ------------------------------
-    # One worker, queue depth 1: the sleep occupies the worker (or the queue
-    # slot) and the burst behind it must overflow into `overloaded`.
+    # One worker, queue depth 1, one request per batch: the sleep occupies
+    # the worker (or the queue slot) and the burst behind it must overflow
+    # into `overloaded`.
     burst = ['{"id":0,"op":"admin","action":"sleep","ms":1500}']
     burst += ['{"id":%d,"op":"eval","query":"r"}' % i for i in range(1, 9)]
-    proc, records = serve(binary, burst, "--db", db1,
-                          "--threads", "1", "--queue-depth", "1")
+    proc, records = serve(binary, burst, "--db", db1, "--threads", "1",
+                          "--queue-depth", "1", "--max-batch", "1")
     check("overload run still exits 0", proc.returncode == 0, proc.stderr)
     ids = by_id(records)
     rejected = [r for rs in ids.values() for r in rs
@@ -364,6 +390,52 @@ def main():
     ids = by_id(records)
     check("requests before shutdown answered", 1 in ids and 2 in ids)
     check("input after shutdown is not consumed", 3 not in ids, proc.stdout)
+
+    # --- stdio: an oversized line costs bounded memory --------------------
+    # The framer stops buffering a line at --max-line-bytes (1 MiB) and
+    # swallows the rest, so a 128 MiB newline-free line must not show up in
+    # the peak RSS, and the request after it is still served.
+    def serve_peak_rss(chunks):
+        """Streams `chunks` to `rpqi serve` on stdin; returns the response
+        records and the process's peak RSS in KiB."""
+        child = subprocess.Popen([binary, "serve", "--db", db1],
+                                 stdin=subprocess.PIPE,
+                                 stdout=subprocess.PIPE,
+                                 stderr=subprocess.DEVNULL)
+        for chunk in chunks:
+            child.stdin.write(chunk)
+        child.stdin.close()
+        out = child.stdout.read()
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        return ([json.loads(line) for line in out.splitlines()
+                 if line.strip()], usage.ru_maxrss)
+
+    ok_line = b'{"id":1,"op":"eval","query":"r"}\n'
+    small_records, small_rss = serve_peak_rss([ok_line])
+    mib = b"x" * (1 << 20)
+    big_records, big_rss = serve_peak_rss([mib] * 128 + [b"\n", ok_line])
+    check("stdio oversized line is `invalid_request`, next line is ok",
+          len(big_records) == 2
+          and big_records[0].get("code") == "invalid_request"
+          and big_records[1].get("id") == 1
+          and big_records[1]["status"] == "ok", json.dumps(big_records))
+    check("stdio 128 MiB line adds < 32 MiB of peak RSS",
+          small_records and big_rss - small_rss < 32 * 1024,
+          f"{small_rss} KiB -> {big_rss} KiB")
+
+    # --- stdio: a closed stdin or stdout is a usage error, not a hang ------
+    for fd, name in ((0, "stdin"), (1, "stdout")):
+        try:
+            proc = subprocess.run([binary, "serve"], stderr=subprocess.PIPE,
+                                  preexec_fn=lambda fd=fd: os.close(fd),
+                                  text=True, timeout=20)
+            outcome = (proc.returncode, proc.stderr)
+        except subprocess.TimeoutExpired:
+            outcome = ("timeout", "")
+        check("serve with a closed %s exits 2" % name,
+              outcome[0] == 2 and "descriptor %d" % fd in outcome[1],
+              str(outcome))
 
     # --- structured error classes ----------------------------------------
     proc, records = serve(binary, [

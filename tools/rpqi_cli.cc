@@ -30,7 +30,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <iostream>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -43,7 +42,6 @@
 #include "base/budget.h"
 #include "base/flags.h"
 #include "base/status.h"
-#include "base/thread_pool.h"
 #include "fault/fault.h"
 #include "graphdb/columnar.h"
 #include "graphdb/eval.h"
@@ -90,7 +88,7 @@ int Usage() {
               check each artifact against the structural invariants of
               src/analysis; prints one `ok` line per artifact, exit 2 with a
               diagnostic naming the offending id otherwise
-  rpqi serve [--db FILE] [--queue-depth N] [--plan-cache-mb MB]
+  rpqi serve [--db FILE] [--threads N] [--queue-depth N] [--plan-cache-mb MB]
              [--plan-cache-dir DIR]
              [--default-timeout-ms MS] [--max-timeout-ms MS]
              [--default-max-states N] [--max-states-cap N]
@@ -101,16 +99,19 @@ int Usage() {
              [--max-line-bytes N]
              [--namespace NAME=DB[:VIEWS[:MAX_INFLIGHT]] ...]
               long-lived server: NDJSON requests in, one response line per
-              request out (protocol reference in README); worker count comes
-              from the global --threads flag; exits 0 after a clean drain on
-              EOF or {"op":"admin","action":"shutdown"};
+              request out, in request order (protocol reference in README);
+              --threads N worker threads (1..256, default 1); exits 0 after
+              a clean drain on EOF or {"op":"admin","action":"shutdown"};
               --plan-cache-dir persists compiled eval plans ("RPQIPLAN1")
               to an existing DIR so a restarted server answers repeated
               queries at warm-cache latency.
-              --transport tcp serves the same protocol over a socket
-              (--port 0 = ephemeral; the bound port goes to --port-file and
-              stderr); adjacent lines in one read execute as a batch sharing
-              snapshot pins and plan lookups; past --max-conns connections new
+              On both transports, adjacent lines in one read execute as a
+              batch of up to --max-batch lines sharing snapshot pins and
+              plan lookups, --queue-depth counts queued batches, and a line
+              over --max-line-bytes (default 1 MiB) is answered
+              `invalid_request`. --transport tcp serves the same protocol
+              over a socket (--port 0 = ephemeral; the bound port goes to
+              --port-file and stderr); past --max-conns connections new
               ones are shed with one `overloaded` line. --namespace mounts a
               named snapshot with an optional view file ('NAME=EXPR' lines)
               and admission quota; requests select it with "ns":"NAME"
@@ -132,9 +133,6 @@ global flags (any subcommand):
   --timeout-ms MS     wall-clock deadline; `rewrite` degrades to a certified
                       partial rewriting, other commands fail with exit code 4
   --max-states N      state/node quota shared by all pipeline stages (exit 3)
-  --threads N         worker threads for the parallel subset-construction /
-                      product frontiers (default 1 = serial; results are
-                      bit-identical either way)
   --trace-out FILE    write one NDJSON span record per pipeline stage (see
                       DESIGN.md, "Observability"); unusable FILE is exit 2
   --metrics-out FILE  write the process-wide counter/gauge/histogram snapshot
@@ -275,7 +273,6 @@ StatusOr<int> CmdRewrite(const FlagMap& flags) {
 
   RewritingOptions options;
   options.budget = run.get();
-  options.threads = GlobalThreadCount();
   if (run.budget.has_value()) {
     options.max_subset_states = run.budget->max_states();
     options.max_product_states = run.budget->max_states();
@@ -688,7 +685,6 @@ StatusOr<int> CmdCompact(const FlagMap& flags) {
 
 StatusOr<int> CmdServe(const FlagMap& flags) {
   service::ServerOptions options;
-  options.threads = GlobalThreadCount();
   if (flags.count("db")) {
     RPQI_ASSIGN_OR_RETURN(options.initial_db_path, SingleFlag(flags, "db"));
   }
@@ -702,11 +698,16 @@ StatusOr<int> CmdServe(const FlagMap& flags) {
     int64_t max;
     int64_t* target;
   };
+  net::TcpTransportOptions tcp;
+  int64_t threads = options.threads;
   int64_t queue_depth = options.admission.queue_depth;
   int64_t plan_cache_mb = options.plan_cache_bytes >> 20;
   int64_t breaker_failures = options.breaker_failure_threshold;
   int64_t reload_retries = options.reload_retry.attempts;
+  int64_t max_batch = tcp.max_batch;
+  int64_t max_line_bytes = static_cast<int64_t>(tcp.max_line_bytes);
   const IntFlag int_flags[] = {
+      {"threads", 1, 256, &threads},
       {"queue-depth", 1, int64_t{1} << 16, &queue_depth},
       {"plan-cache-mb", 0, int64_t{1} << 16, &plan_cache_mb},
       {"default-timeout-ms", 1, int64_t{1} << 40,
@@ -723,6 +724,8 @@ StatusOr<int> CmdServe(const FlagMap& flags) {
       {"reload-retries", 1, 100, &reload_retries},
       {"reload-backoff-ms", 0, int64_t{1} << 20,
        &options.reload_retry.backoff_ms},
+      {"max-batch", 1, int64_t{1} << 12, &max_batch},
+      {"max-line-bytes", 64, int64_t{1} << 30, &max_line_bytes},
   };
   for (const IntFlag& spec : int_flags) {
     if (!flags.count(spec.name)) continue;
@@ -731,10 +734,13 @@ StatusOr<int> CmdServe(const FlagMap& flags) {
         *spec.target, ParseInt64(text, std::string("--") + spec.name, spec.min,
                                  spec.max));
   }
+  options.threads = static_cast<int>(threads);
   options.admission.queue_depth = static_cast<int>(queue_depth);
   options.plan_cache_bytes = plan_cache_mb << 20;
   options.breaker_failure_threshold = static_cast<int>(breaker_failures);
   options.reload_retry.attempts = static_cast<int>(reload_retries);
+  tcp.max_batch = static_cast<int>(max_batch);
+  tcp.max_line_bytes = static_cast<size_t>(max_line_bytes);
 
   // --namespace NAME=DB[:VIEWS[:MAX_INFLIGHT]], repeatable.
   if (auto it = flags.find("namespace"); it != flags.end()) {
@@ -777,23 +783,20 @@ StatusOr<int> CmdServe(const FlagMap& flags) {
   service::Server server(options);
   RPQI_RETURN_IF_ERROR(server.Init());
   if (transport == "stdio") {
-    RPQI_RETURN_IF_ERROR(server.Serve(std::cin, std::cout));
+    // stdin/stdout are one more connection of the same request loop.
+    net::TcpTransport stdio(&server, tcp);
+    RPQI_RETURN_IF_ERROR(stdio.ServeStream(0, 1));
     return kExitOk;
   }
 
-  net::TcpTransportOptions tcp;
   if (flags.count("host")) {
     RPQI_ASSIGN_OR_RETURN(tcp.bind_address, SingleFlag(flags, "host"));
   }
   int64_t port = 0;
   int64_t max_conns = tcp.max_connections;
-  int64_t max_batch = tcp.max_batch;
-  int64_t max_line_bytes = static_cast<int64_t>(tcp.max_line_bytes);
   const IntFlag tcp_flags[] = {
       {"port", 0, 65535, &port},
       {"max-conns", 1, int64_t{1} << 16, &max_conns},
-      {"max-batch", 1, int64_t{1} << 12, &max_batch},
-      {"max-line-bytes", 64, int64_t{1} << 30, &max_line_bytes},
   };
   for (const IntFlag& spec : tcp_flags) {
     if (!flags.count(spec.name)) continue;
@@ -804,8 +807,6 @@ StatusOr<int> CmdServe(const FlagMap& flags) {
   }
   tcp.port = static_cast<int>(port);
   tcp.max_connections = static_cast<int>(max_conns);
-  tcp.max_batch = static_cast<int>(max_batch);
-  tcp.max_line_bytes = static_cast<size_t>(max_line_bytes);
 
   net::TcpTransport tcp_server(&server, tcp);
   RPQI_RETURN_IF_ERROR(tcp_server.Listen());
@@ -912,19 +913,6 @@ int Main(int argc, char** argv) {
   if (!flags.ok()) {
     std::fprintf(stderr, "error: %s\n", flags.status().ToString().c_str());
     return ExitCodeForStatus(flags.status());
-  }
-  if (flags->count("threads")) {
-    StatusOr<std::string> text = SingleFlag(*flags, "threads");
-    StatusOr<int64_t> threads =
-        text.ok() ? ParseInt64(*text, "--threads", 1, 256)
-                  : StatusOr<int64_t>(text.status());
-    if (!threads.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   threads.status().ToString().c_str());
-      return ExitCodeForStatus(threads.status());
-    }
-    SetGlobalThreadCount(static_cast<int>(*threads));
-    flags->erase("threads");
   }
   if (flags->count("trace-out")) {
     StatusOr<std::string> path = SingleFlag(*flags, "trace-out");

@@ -40,7 +40,8 @@ Checks that complement the compiler's own enforcement:
                  std::cout/std::cerr):
                  the serving layer speaks NDJSON on stdout, and a stray
                  diagnostic line corrupts the protocol stream. All responses
-                 go through the Server's serialized writer. Waiver:
+                 go through the transport's per-connection output buffers
+                 (src/net), stdio included. Waiver:
                      // lint: allow-direct-io <why>
                  (In-memory formatting like snprintf is fine.)
 
@@ -52,11 +53,13 @@ Checks that complement the compiler's own enforcement:
                  must acquire strictly downward in that order — acquiring
                  upward or acquiring the same rank twice is how AB/BA
                  deadlocks are born. RPQI_REQUIRES(mu) annotations count as
-                 already holding `mu` for the whole function body. Unranked
-                 mutex names are ignored (rank yours by adding it to the
-                 hierarchy). Waiver, on the acquisition line or the line
-                 above:
+                 already holding `mu` for the whole function body. Waiver,
+                 on the acquisition line or the line above:
                      // lint: allow-lock-order <why>
+                 The hierarchy cannot go stale: like the fault-site catalog,
+                 the check runs both ways — every ranked name must be a
+                 `Mutex` declared under src/, and every `Mutex` declared
+                 under src/ must be ranked.
                  The rule also polices the analysis escape hatch: every
                  RPQI_NO_THREAD_SAFETY_ANALYSIS use needs a written waiver
                  on the same or the preceding line:
@@ -106,6 +109,7 @@ ACQUIRE_RE = re.compile(
 REQUIRES_RE = re.compile(r"\bRPQI_REQUIRES\s*\(([^()]*)\)")
 TRAILING_IDENT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*$")
 ALLOW_LOCK_ORDER_RE = re.compile(r"//\s*lint:\s*allow-lock-order\s+\S")
+MUTEX_DECL_RE = re.compile(r"(?<![\w:])Mutex\s+([A-Za-z_]\w*)\s*[;{(=]")
 NO_TSA_RE = re.compile(r"\bRPQI_NO_THREAD_SAFETY_ANALYSIS\b")
 ALLOW_NO_TSA_RE = re.compile(r"//\s*lint:\s*allow-no-tsa\s+\S")
 MEMORY_ORDER_RE = re.compile(r"\bmemory_order_(\w+)")
@@ -219,7 +223,7 @@ def check_service_io(rel, raw_lines, code_lines, findings):
             findings.append(
                 (rel, lineno, "service-io",
                  f"direct {m.group(1)} in the serving layer corrupts the "
-                 "NDJSON stream; route output through the Server writer or "
+                 "NDJSON stream; route output through the transport or "
                  "add `// lint: allow-direct-io <why>`"))
 
 
@@ -360,9 +364,11 @@ def check_fault_catalog(root, fault_sites, findings):
 def load_lock_hierarchy(root, findings):
     """Parses the declared lock order from thread_annotations.h.
 
-    Returns {mutex_name: rank} with 0 = outermost. A missing file or marker
-    block is itself a finding: the hierarchy is the rule's source of truth,
-    so losing it must fail the lint rather than silently disable it.
+    Returns ({mutex_name: rank}, {mutex_name: lineno}) with rank 0 =
+    outermost; the line map is None when there is no block. A missing file
+    or marker block is itself a finding: the hierarchy is the rule's source
+    of truth, so losing it must fail the lint rather than silently disable
+    it.
     """
     rel = LOCK_HIERARCHY_PATH
     try:
@@ -371,23 +377,52 @@ def load_lock_hierarchy(root, findings):
     except OSError:
         findings.append(
             (rel, 1, "lock-order", "missing lock-hierarchy header"))
-        return {}
+        return {}, None
     ranks = {}
+    rank_lines = {}
     in_block = False
-    for line in lines:
+    for lineno, line in enumerate(lines, 1):
         if "RPQI_LOCK_ORDER_BEGIN" in line:
             in_block = True
             continue
         if "RPQI_LOCK_ORDER_END" in line:
-            return ranks
+            return ranks, rank_lines
         if in_block:
             tokens = line.lstrip("/ \t").split()
             if tokens:
                 ranks[tokens[0]] = len(ranks)
+                rank_lines[tokens[0]] = lineno
     findings.append(
         (rel, 1, "lock-order",
          "RPQI_LOCK_ORDER_BEGIN/END hierarchy block not found"))
-    return {}
+    return {}, None
+
+
+def collect_mutex_decls(rel, code_lines, mutex_decls):
+    """Records every `Mutex name` declaration as name -> (rel, lineno)."""
+    for lineno, code in enumerate(code_lines, 1):
+        for m in MUTEX_DECL_RE.finditer(code):
+            mutex_decls.setdefault(m.group(1), (rel, lineno))
+
+
+def check_lock_catalog(rank_lines, mutex_decls, findings):
+    """Cross-checks the hierarchy block against the Mutex declarations under
+    src/, both ways, so a removed lock cannot leave a stale rank behind and
+    a new lock cannot skip the hierarchy."""
+    if rank_lines is None:
+        return  # the missing block is already a finding
+    for name, lineno in sorted(rank_lines.items()):
+        if name not in mutex_decls:
+            findings.append(
+                (LOCK_HIERARCHY_PATH, lineno, "lock-order",
+                 f"ranked name `{name}` is not a Mutex declared under src/ "
+                 "(stale rank)"))
+    for name, (rel, lineno) in sorted(mutex_decls.items()):
+        if name not in rank_lines:
+            findings.append(
+                (rel, lineno, "lock-order",
+                 f"Mutex `{name}` is not ranked in the RPQI_LOCK_ORDER "
+                 f"block of {LOCK_HIERARCHY_PATH}"))
 
 
 def line_has_waiver(raw_lines, index, waiver_re):
@@ -515,7 +550,8 @@ def main(argv):
         os.path.dirname(os.path.abspath(__file__)))
     findings = []
     fault_sites = {}
-    lock_ranks = load_lock_hierarchy(root, findings)
+    mutex_decls = {}
+    lock_ranks, rank_lines = load_lock_hierarchy(root, findings)
 
     for rel in iter_source_files(root, ["src", "tools"], {".h", ".cc"}):
         with open(os.path.join(root, rel), encoding="utf-8") as f:
@@ -528,6 +564,7 @@ def main(argv):
                               findings)
             check_lock_order(rel, raw_lines, code_lines, lock_ranks,
                              findings)
+            collect_mutex_decls(rel, code_lines, mutex_decls)
             check_memory_order(rel, raw_lines, code_lines, findings)
             if rel.endswith(".h"):
                 check_include_guard(rel, code_lines, findings)
@@ -539,6 +576,7 @@ def main(argv):
 
     check_nodiscard_annotations(root, findings)
     check_fault_catalog(root, fault_sites, findings)
+    check_lock_catalog(rank_lines, mutex_decls, findings)
 
     for rel, lineno, rule, message in sorted(findings):
         print(f"{rel}:{lineno}: {rule}: {message}")

@@ -15,7 +15,8 @@ and stays quiet on the idiomatic form:
   service-io     no stdout/stderr writes under src/service/ or src/net/.
   lock-order     hierarchy violations, double acquisition, REQUIRES-held
                  locks, allow-lock-order waivers, allow-no-tsa waivers,
-                 and a missing hierarchy block.
+                 a missing hierarchy block, a stale rank and an unranked
+                 mutex.
   memory-order   non-seq_cst orders need `order:` comments; consume banned.
 """
 
@@ -54,6 +55,14 @@ THREAD_ANNOTATIONS_H = """\
 #endif  // RPQI_BASE_THREAD_ANNOTATIONS_H_
 """
 
+# The fixture hierarchy's mutexes, declared under src/ so the lock-order
+# rule's declaration cross-check passes on the baseline.
+FIXTURE_LOCKS_CC = """\
+Mutex outer_mu;
+Mutex middle_mu;
+Mutex inner_mu;
+"""
+
 FAULT_CATALOG = """\
 const char* const kKnownSites[] = {};
 """
@@ -84,6 +93,7 @@ def run_lint(lint_py, files):
         os.path.join("src", "base", "status.h"): STATUS_H,
         os.path.join("src", "base", "thread_annotations.h"):
             THREAD_ANNOTATIONS_H,
+        os.path.join("src", "base", "fixture_locks.cc"): FIXTURE_LOCKS_CC,
         os.path.join("tests", "fault_test.cc"): FAULT_CATALOG,
     }
     merged.update(files)
@@ -320,6 +330,27 @@ def main():
     })
     check("missing hierarchy block fires",
           code == 1 and "hierarchy block not found" in out, out)
+    code, out = run_lint(lint, {
+        os.path.join("src", "base", "thread_annotations.h"):
+            THREAD_ANNOTATIONS_H.replace(
+                "//   inner_mu    fixture innermost lock\n",
+                "//   inner_mu    fixture innermost lock\n"
+                "//   gone_mu     fixture lock whose Mutex was deleted\n"),
+    })
+    check("stale rank (no Mutex declared under src/) fires",
+          code == 1 and "`gone_mu`" in out and "stale rank" in out, out)
+    code, out = run_lint(lint, {
+        "src/base/a.h":
+            "#ifndef RPQI_BASE_A_H_\n"
+            "#define RPQI_BASE_A_H_\n"
+            "class A {\n"
+            "  mutable Mutex rogue_mu_;\n"
+            "};\n"
+            "#endif  // RPQI_BASE_A_H_\n",
+    })
+    check("unranked Mutex declaration fires",
+          code == 1 and "`rogue_mu_` is not ranked" in out
+          and "src/base/a.h:4" in out, out)
 
     # --- memory-order ------------------------------------------------------
     code, out = run_lint(lint, {
