@@ -13,6 +13,11 @@
 //   --metrics-out=FILE  write the final process-wide obs counter snapshot as
 //                     NDJSON after all benchmarks ran (CI uploads these as
 //                     artifacts next to the BENCH_*.json files)
+//   --trace-out=FILE  write every obs span the benchmarks open as NDJSON
+//                     (src/obs/trace.h), for a per-stage split of where a
+//                     bench's time goes. Tracing adds its own cost to every
+//                     span, so a traced run's timings are not comparable to
+//                     an untraced one's; CI never passes it.
 
 #include <benchmark/benchmark.h>
 
@@ -26,6 +31,7 @@
 
 #include "bench_main.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace rpqi {
 namespace {
@@ -176,6 +182,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> args;
   std::string out_path;
   std::string metrics_path;
+  std::string trace_path;
   bool min_time_given = false;
   args.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
@@ -186,6 +193,8 @@ int main(int argc, char** argv) {
       out_path = arg.substr(12);
     } else if (arg.rfind("--metrics-out=", 0) == 0) {
       metrics_path = arg.substr(14);
+    } else if (arg.rfind("--trace-out=", 0) == 0) {
+      trace_path = arg.substr(12);
     } else {
       if (arg.rfind("--benchmark_min_time", 0) == 0) min_time_given = true;
       args.push_back(arg);
@@ -203,8 +212,13 @@ int main(int argc, char** argv) {
 
   const std::string bench_name = rpqi::BenchName(argv[0]);
   if (out_path.empty()) out_path = "BENCH_" + bench_name + ".json";
+  if (!trace_path.empty() && !rpqi::obs::Tracer::StartToFile(trace_path)) {
+    std::fprintf(stderr, "bench_main: cannot write %s\n", trace_path.c_str());
+    return 1;
+  }
   rpqi::CollectingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
+  rpqi::obs::Tracer::Stop();
   rpqi::WriteJson(out_path, bench_name, reporter.collected());
   if (!metrics_path.empty()) {
     std::ofstream metrics_out(metrics_path);

@@ -1,8 +1,9 @@
 // Serving-layer bench: request latency and throughput through the Server
 // (`rpqi serve`). Two axes matter for the roadmap's scaling story:
-//   * cold vs. warm plan cache — a warm `eval` skips regex compilation and
-//     the all-pairs product BFS entirely (the cached plan carries the answer
-//     set), so its median must sit well below (>= 5x) the cold median;
+//   * cold vs. warm plan cache — a warm `eval` skips regex compilation, the
+//     all-pairs product BFS and answer rendering entirely (the cached plan
+//     carries the answer set already rendered), so its median must sit well
+//     below (>= 5x) the cold median;
 //   * worker-pool throughput — a 1000-request mixed NDJSON stream with
 //     periodic `admin reload` requests, at 1/4/8 threads.
 
@@ -37,7 +38,8 @@ namespace {
 
 // A fixed labeled path: the cold eval pays compilation plus the product BFS
 // over every source node. The answer set is not small: 2,352 pairs, a
-// ~37 KB response, so both paths also pay for rendering it.
+// ~37 KB response. The cold path renders it once into the plan; every
+// later response copies those bytes.
 constexpr char kEvalRequest[] =
     R"({"id":1,"op":"eval","query":"r0 r0 r1 r0"})";
 
@@ -162,8 +164,9 @@ void BM_ServeEvalCold(benchmark::State& state) {
 BENCHMARK(BM_ServeEvalCold);
 
 // Warm path: same request against a pre-warmed cache — parse + shard lookup +
-// render. The >= 5x cold/warm separation asserted in EXPERIMENTS.md lives in
-// the ratio of these two medians.
+// splicing the plan's rendered answers into the response, with no per-pair
+// rendering. The >= 5x cold/warm separation asserted in EXPERIMENTS.md lives
+// in the ratio of these two medians.
 void BM_ServeEvalWarm(benchmark::State& state) {
   service::Server server(BaseOptions());
   if (!server.Init().ok()) {
@@ -184,7 +187,8 @@ BENCHMARK(BM_ServeEvalWarm);
 
 // Restart path: a fresh Server per iteration, but --plan-cache-dir points at
 // a directory pre-warmed with the persisted plan, so the timed HandleLine is
-// a disk hit — decode + validate the "RPQIPLAN1" payload, no compile, no BFS.
+// a disk hit — decode + validate the "RPQIPLAN1" payload and render its
+// answers once, no compile, no BFS.
 // Its median must sit well below the cold median (that gap is the restart
 // win the persistent plan cache buys) while staying above the pure in-memory
 // warm median (the decode + admission-validation tax).

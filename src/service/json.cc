@@ -318,6 +318,9 @@ void Json::DumpTo(std::string* out) const {
       out->push_back('}');
       return;
     }
+    case Type::kRaw:
+      out->append(*raw_);
+      return;
   }
 }
 

@@ -2,6 +2,7 @@
 #define RPQI_SERVICE_JSON_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -25,7 +26,16 @@ using JsonObject = std::vector<std::pair<std::string, Json>>;
 
 class Json {
  public:
-  enum class Type { kNull, kBool, kInt, kDouble, kString, kArray, kObject };
+  enum class Type {
+    kNull,
+    kBool,
+    kInt,
+    kDouble,
+    kString,
+    kArray,
+    kObject,
+    kRaw,
+  };
 
   Json() : type_(Type::kNull) {}
 
@@ -64,6 +74,16 @@ class Json {
     Json j;
     j.type_ = Type::kObject;
     j.object_ = std::move(value);
+    return j;
+  }
+  /// Pre-rendered JSON text that DumpTo appends verbatim, so a response can
+  /// splice in bytes rendered once and cached. `text` must hold exactly one
+  /// JSON value; sharing it keeps its owner (a cached plan) alive as long as
+  /// the value. ParseJson never produces one.
+  static Json Raw(std::shared_ptr<const std::string> text) {
+    Json j;
+    j.type_ = Type::kRaw;
+    j.raw_ = std::move(text);
     return j;
   }
 
@@ -109,6 +129,7 @@ class Json {
   std::string string_;
   JsonArray array_;
   JsonObject object_;
+  std::shared_ptr<const std::string> raw_;
 };
 
 /// Appends `text` JSON-escaped (quotes, backslash, control characters) to

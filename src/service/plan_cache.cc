@@ -54,6 +54,11 @@ int64_t CachedPlan::ApproxBytes() const {
   for (const std::string& name : view_names) {
     bytes += 32 + static_cast<int64_t>(name.size());
   }
+  // A string's heap block is capacity() + 1 bytes (the terminator); a string
+  // short enough to live inside the object allocates none.
+  if (rendered.capacity() > std::string().capacity()) {
+    bytes += static_cast<int64_t>(rendered.capacity()) + 1;
+  }
   return bytes;
 }
 
@@ -168,8 +173,8 @@ std::string PlanDiskStore::PathForKey(const std::string& key) const {
   return dir_ + "/plan-" + buffer + ".rpqiplan";
 }
 
-std::shared_ptr<const CachedPlan> PlanDiskStore::Load(const std::string& key,
-                                                      int num_nodes) {
+std::shared_ptr<CachedPlan> PlanDiskStore::Load(const std::string& key,
+                                                int num_nodes) {
   static const obs::Counter disk_hits("service.plan_cache.disk_hit");
   static const obs::Counter disk_misses("service.plan_cache.disk_miss");
   static const obs::Counter disk_rejects("service.plan_cache.disk_reject");

@@ -26,9 +26,9 @@ namespace service {
 ///   eval     flat_plan (the compiled FlatNfa — also the serializable
 ///            payload the persistent store writes) + eval_answers (node-id
 ///            pairs over the keyed snapshot; sound to memoize because
-///            snapshots are immutable);
+///            snapshots are immutable) + rendered;
 ///   rewrite  rewriting (compiled maximal-rewriting DFA + stats) +
-///            view_names + exactness verdict.
+///            view_names + exactness verdict + rendered.
 struct CachedPlan {
   std::optional<FlatNfa> flat_plan;
   std::optional<std::vector<std::pair<int, int>>> eval_answers;
@@ -37,6 +37,11 @@ struct CachedPlan {
   /// Theorem 9 verdict: unset when the rewriting is non-exhaustive (the
   /// exactness check is only meaningful against the full maximal rewriting).
   std::optional<bool> exact;
+  /// The op's bulky response field as JSON text, rendered once before the
+  /// plan is shared and spliced verbatim into every response: the eval
+  /// `answers` array (node names from the keyed snapshot) or the rewrite
+  /// `rewriting` string. It depends only on what the cache key pins.
+  std::string rendered;
 
   /// Exact heap footprint (vector capacities, not sizes): this is what the
   /// cache's byte budget bounds, so it must track *resident* bytes —
@@ -139,9 +144,9 @@ class PlanDiskStore {
   /// Loads, checksum-validates, and tag-checks the persisted plan for `key`.
   /// `num_nodes` bounds the answer node-ids (a plan whose answers name nodes
   /// outside the snapshot is rejected, not served). nullptr on any miss or
-  /// rejection.
-  std::shared_ptr<const CachedPlan> Load(const std::string& key,
-                                         int num_nodes);
+  /// rejection. The plan comes back unshared and without `rendered`, for the
+  /// caller to render before it shares the plan.
+  std::shared_ptr<CachedPlan> Load(const std::string& key, int num_nodes);
 
   /// Persists `plan` (which must carry flat_plan + eval_answers) under
   /// `key`, via write-to-temp + atomic rename. Best-effort: failures only

@@ -46,13 +46,28 @@ const char* StatusErrorCode(const Status& status) {
   return "invalid_request";
 }
 
-std::string RenderResponse(const Json& id, const char* status_word,
-                           JsonObject fields) {
-  JsonObject response;
-  response.emplace_back("id", id);
-  response.emplace_back("status", Json::Str(status_word));
-  for (auto& field : fields) response.push_back(std::move(field));
-  return Json::Obj(std::move(response)).Dump();
+/// Appends `,"name":value` per member to an object that already has its
+/// opening brace and first member.
+void AppendMembers(const JsonObject& members, std::string* out) {
+  for (const auto& [name, value] : members) {
+    out->append(",\"");
+    JsonEscapeTo(name, out);
+    out->append("\":");
+    value.DumpTo(out);
+  }
+}
+
+/// `{"id":<id>,"status":"<status_word>"` followed by `fields`: a response
+/// line still open for more members and its closing brace.
+std::string OpenResponse(const Json& id, const char* status_word,
+                         const JsonObject& fields) {
+  std::string out = "{\"id\":";
+  id.DumpTo(&out);
+  out.append(",\"status\":\"");
+  out.append(status_word);
+  out.push_back('"');
+  AppendMembers(fields, &out);
+  return out;
 }
 
 std::string ErrorResponse(const Json& id, const std::string& code,
@@ -60,7 +75,46 @@ std::string ErrorResponse(const Json& id, const std::string& code,
   JsonObject fields;
   fields.emplace_back("code", Json::Str(code));
   fields.emplace_back("message", Json::Str(message));
-  return RenderResponse(id, "error", std::move(fields));
+  std::string out = OpenResponse(id, "error", fields);
+  out.push_back('}');
+  return out;
+}
+
+/// The plan's `rendered` bytes as a Json value that shares the plan's
+/// ownership, so they outlive the request's plan reference.
+Json RenderedField(const std::shared_ptr<const CachedPlan>& plan) {
+  return Json::Raw(std::shared_ptr<const std::string>(plan, &plan->rendered));
+}
+
+/// Renders an eval plan's answers as the `answers` array, node names straight
+/// from the snapshot's dictionary, in engine order. Every id must already be
+/// in range for `db`: the disk store's bounds check runs before this.
+void RenderAnswers(const GraphDb& db, CachedPlan* plan) {
+  std::string& out = plan->rendered;
+  out = "[";
+  for (const auto& [x, y] : *plan->eval_answers) {
+    if (out.size() > 1) out.push_back(',');
+    out.append("[\"");
+    JsonEscapeTo(db.NodeName(x), &out);
+    out.append("\",\"");
+    JsonEscapeTo(db.NodeName(y), &out);
+    out.append("\"]");
+  }
+  out.push_back(']');
+  out.shrink_to_fit();  // the cache budget counts capacity, not size
+}
+
+/// Renders a rewrite plan's `rewriting` string: "%empty", or R as a regex
+/// over the view names by state elimination.
+void RenderRewriting(CachedPlan* plan) {
+  obs::Span span("rewrite.render");
+  const MaximalRewriting& rewriting = *plan->rewriting;
+  std::string text = "%empty";
+  if (!rewriting.empty) {
+    text = RewritingToString(rewriting.dfa, plan->view_names);
+  }
+  plan->rendered = Json::Str(std::move(text)).Dump();
+  plan->rendered.shrink_to_fit();
 }
 
 /// Required string member; InvalidArgument naming the key otherwise.
@@ -517,6 +571,20 @@ std::string Server::ExecuteToResponse(const Request& request,
     }
   }
 
+  // The body is rendered before the clock stops, so `us` and
+  // service.request_us cover rendering; only the cache/us/counters tail is
+  // appended afterwards.
+  std::string response;
+  if (fields.ok()) {
+    response = OpenResponse(request.id, "ok", *fields);
+  } else {
+    JsonObject error_fields;
+    error_fields.emplace_back("code",
+                              Json::Str(StatusErrorCode(fields.status())));
+    error_fields.emplace_back(
+        "message", Json::Str(StripUnavailable(fields.status())));
+    response = OpenResponse(request.id, "error", error_fields);
+  }
   int64_t us = std::chrono::duration_cast<std::chrono::microseconds>(
                    std::chrono::steady_clock::now() - start)
                    .count();
@@ -539,19 +607,9 @@ std::string Server::ExecuteToResponse(const Request& request,
     counters.emplace_back(name, Json::Int(delta));
   }
   tail.emplace_back("counters", Json::Obj(std::move(counters)));
-
-  if (!fields.ok()) {
-    JsonObject error_fields;
-    error_fields.emplace_back("code",
-                              Json::Str(StatusErrorCode(fields.status())));
-    error_fields.emplace_back(
-        "message", Json::Str(StripUnavailable(fields.status())));
-    for (auto& field : tail) error_fields.push_back(std::move(field));
-    return RenderResponse(request.id, "error", std::move(error_fields));
-  }
-  JsonObject ok_fields = std::move(fields).value();
-  for (auto& field : tail) ok_fields.push_back(std::move(field));
-  return RenderResponse(request.id, "ok", std::move(ok_fields));
+  AppendMembers(tail, &response);
+  response.push_back('}');
+  return response;
 }
 
 StatusOr<JsonObject> Server::OpEval(const Request& request, Budget* budget,
@@ -605,15 +663,18 @@ StatusOr<JsonObject> Server::OpEval(const Request& request, Budget* budget,
   }
   if (plan == nullptr) {
     plan = plan_cache_.Get(key);
+    std::shared_ptr<CachedPlan> loaded;
     if (plan != nullptr && plan->eval_answers.has_value()) {
       *cache_source = "hit";
-    } else if ((plan = plan_disk_.Load(key, snapshot->db.NumNodes())) !=
+    } else if ((loaded = plan_disk_.Load(key, snapshot->db.NumNodes())) !=
                nullptr) {
       // Persistent store hit (typically the first repeated query after a
-      // restart): promote into the in-memory cache so the next request is a
-      // plain "hit".
+      // restart): render it once, then promote it into the in-memory cache
+      // so the next request is a plain "hit".
       *cache_source = "disk";
-      plan_cache_.Put(key, plan);
+      RenderAnswers(snapshot->db, loaded.get());
+      plan_cache_.Put(key, loaded);
+      plan = std::move(loaded);
     } else {
       SignedAlphabet alphabet = snapshot->alphabet;
       RegisterRelations({expr}, &alphabet);
@@ -624,6 +685,7 @@ StatusOr<JsonObject> Server::OpEval(const Request& request, Budget* budget,
       auto fresh = std::make_shared<CachedPlan>();
       fresh->flat_plan = std::move(compiled);
       fresh->eval_answers = std::move(pairs);
+      RenderAnswers(snapshot->db, fresh.get());
       plan_cache_.Put(key, fresh);
       plan_disk_.Save(key, *fresh);
       plan = std::move(fresh);
@@ -631,16 +693,9 @@ StatusOr<JsonObject> Server::OpEval(const Request& request, Budget* budget,
     if (ctx != nullptr) ctx->plans[key] = plan;
   }
 
-  JsonArray answers;
-  answers.reserve(plan->eval_answers->size());
-  for (const auto& [x, y] : *plan->eval_answers) {
-    answers.push_back(
-        Json::Arr({Json::Str(std::string(snapshot->db.NodeName(x))),
-                   Json::Str(std::string(snapshot->db.NodeName(y)))}));
-  }
   JsonObject fields;
   fields.emplace_back("snapshot_version", Json::Int(snapshot->version));
-  fields.emplace_back("answers", Json::Arr(std::move(answers)));
+  fields.emplace_back("answers", RenderedField(plan));
   return fields;
 }
 
@@ -713,6 +768,7 @@ StatusOr<JsonObject> Server::OpRewrite(const Request& request, Budget* budget,
     }
     bool exhaustive = rewriting.exhaustive;
     fresh->rewriting = std::move(rewriting);
+    RenderRewriting(fresh.get());
     // Only exhaustive results are cached: a degraded partial rewriting
     // reflects this request's budget, not the query, and must not be served
     // to better-funded callers (the same rule applies to the batch context —
@@ -727,11 +783,7 @@ StatusOr<JsonObject> Server::OpRewrite(const Request& request, Budget* budget,
   const MaximalRewriting& rewriting = *plan->rewriting;
   JsonObject fields;
   fields.emplace_back("empty", Json::Bool(rewriting.empty));
-  fields.emplace_back(
-      "rewriting",
-      Json::Str(rewriting.empty
-                    ? "%empty"
-                    : RewritingToString(rewriting.dfa, plan->view_names)));
+  fields.emplace_back("rewriting", RenderedField(plan));
   fields.emplace_back("exhaustive", Json::Bool(rewriting.exhaustive));
   fields.emplace_back("exact", plan->exact.has_value()
                                    ? Json::Bool(*plan->exact)

@@ -169,7 +169,8 @@ TEST(BatchTest, SharesSnapshotPinsAndPlanLookups) {
   EXPECT_GE(delta.CounterValue("service.batch.plan_lookups_saved"), 1);
   EXPECT_EQ(delta.CounterValue("service.batches"), 1);
   // The id=2 response reports the batch-context plan as a cache hit.
-  const Json* cache = MustParse(responses[1]).Find("cache");
+  Json second = MustParse(responses[1]);
+  const Json* cache = second.Find("cache");
   ASSERT_NE(cache, nullptr);
   EXPECT_EQ(cache->string_value(), "hit");
 }

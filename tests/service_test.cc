@@ -25,8 +25,12 @@
 #include "automata/nfa.h"
 #include "base/socket.h"
 #include "fault/fault.h"
+#include "graphdb/eval.h"
 #include "net/tcp_server.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
+#include "regex/parser.h"
+#include "rpq/compile.h"
 #include "service/admission.h"
 #include "service/breaker.h"
 #include "service/json.h"
@@ -421,6 +425,8 @@ TEST(ServerTest, RewriteCachesExhaustiveResults) {
   ASSERT_TRUE(server.Init().ok());
   const std::string request =
       R"({"id":1,"op":"rewrite","query":"r r","views":{"v1":"r"}})";
+  std::ostringstream trace;
+  obs::Tracer::StartToStream(&trace);
   Json first = Handle(server, request);
   EXPECT_EQ(FindField(first, "status")->string_value(), "ok");
   EXPECT_EQ(FindField(first, "cache")->string_value(), "miss");
@@ -431,8 +437,19 @@ TEST(ServerTest, RewriteCachesExhaustiveResults) {
   // View order in the request must not matter for the cache key.
   Json second = Handle(
       server, R"({"id":2,"op":"rewrite","query":"r r","views":[["v1","r"]]})");
+  obs::Tracer::Stop();
   EXPECT_EQ(FindField(second, "cache")->string_value(), "hit");
   EXPECT_EQ(FindField(second, "rewriting")->string_value(), "v1 v1");
+  // The miss rendered the regex once, into the plan; the hit spliced it.
+  const std::string spans = trace.str();
+  const std::string render_span = "\"name\":\"rewrite.render\"";
+  int renders = 0;
+  size_t at = 0;
+  while ((at = spans.find(render_span, at)) != std::string::npos) {
+    ++renders;
+    at += render_span.size();
+  }
+  EXPECT_EQ(renders, 1) << spans;
 }
 
 TEST(ServerTest, AnswerOdaAndCdaAgreeOnExactView) {
@@ -1115,6 +1132,15 @@ TEST(PlanCacheTest, ApproxBytesCountsEveryHeapBlockExactly) {
   plan->view_names = {"v1", "a-rather-long-view-name"};
   expected += (32 + 2) + (32 + 23);
   EXPECT_EQ(plan->ApproxBytes(), expected);
+
+  // The rendered payload adds its string's heap block: capacity plus the
+  // terminator. A payload short enough for the string's inline buffer, like
+  // an empty answer set, allocates nothing and adds nothing.
+  plan->rendered = "[]";
+  EXPECT_EQ(plan->ApproxBytes(), expected);
+  plan->rendered.assign(1000, 'x');
+  expected += static_cast<int64_t>(plan->rendered.capacity()) + 1;
+  EXPECT_EQ(plan->ApproxBytes(), expected);
 }
 
 TEST(PlanCacheTest, BytesGaugeTracksKnownSizePlans) {
@@ -1311,6 +1337,87 @@ TEST(ServerTest, CorruptPersistedPlanRecompilesAndServerStaysUp) {
   Server again(options);
   ASSERT_TRUE(again.Init().ok());
   EXPECT_EQ(FindField(Handle(again, line), "cache")->string_value(), "disk");
+}
+
+// A plan renders its `answers` array once, straight from the snapshot's node
+// dictionary, and every later response splices those bytes. Every path to
+// the plan must send the same bytes, escaped as a Json tree escapes them: a
+// miss, an in-memory hit, a batch-context hit and a disk hit.
+TEST(ServerTest, RenderedAnswersAreIdenticalOnEveryCachePath) {
+  // Node names that need escaping, and one in multi-byte UTF-8.
+  const std::string quote = "q\"1";
+  const std::string backslash = "b\\2";
+  const std::string utf8 = "\xc3\xa9t\xc3\xa9";
+  const std::string text = quote + " r " + backslash + "\n" + backslash +
+                           " r " + utf8 + "\n" + utf8 + " s " + quote + "\n";
+  std::string graph = WriteTempGraph("srv_render.txt", text);
+  ServerOptions options = OptionsWithDb(graph);
+  options.plan_cache_dir = FreshPlanDir("srv_render_plans");
+  const std::string line = R"({"id":1,"op":"eval","query":"r* s"})";
+
+  std::string miss;
+  std::string none;
+  std::vector<std::string> batch;
+  {
+    Server server(options);
+    ASSERT_TRUE(server.Init().ok());
+    miss = server.HandleLine(line);
+    none = server.HandleLine(R"({"id":2,"op":"eval","query":"s s"})");
+    // The first request finds the plan in the cache, the second in the
+    // batch context.
+    auto parsed = server.ParseBatch({line, line});
+    batch = server.ExecuteBatch(parsed.get());
+  }
+  ASSERT_EQ(batch.size(), 2u);
+  std::string disk;
+  {
+    Server restarted(options);
+    ASSERT_TRUE(restarted.Init().ok());
+    disk = restarted.HandleLine(line);
+  }
+  Json batch_hit = MustParse(batch[1]);
+  EXPECT_EQ(FindField(MustParse(miss), "cache")->string_value(), "miss");
+  EXPECT_EQ(FindField(MustParse(batch[0]), "cache")->string_value(), "hit");
+  EXPECT_EQ(FindField(batch_hit, "cache")->string_value(), "hit");
+  const Json* counters = FindField(batch_hit, "counters");
+  const Json* saved = counters->Find("service.batch.plan_lookups_saved");
+  ASSERT_NE(saved, nullptr);
+  EXPECT_EQ(saved->int_value(), 1);
+  EXPECT_EQ(FindField(MustParse(disk), "cache")->string_value(), "disk");
+
+  // What the plan decides: the bytes from "snapshot_version" up to "cache".
+  auto plan_bytes = [](const std::string& response) {
+    size_t from = response.find("\"snapshot_version\"");
+    size_t to = response.find(",\"cache\"");
+    EXPECT_NE(from, std::string::npos) << response;
+    EXPECT_NE(to, std::string::npos) << response;
+    return response.substr(from, to - from);
+  };
+  EXPECT_EQ(plan_bytes(batch[0]), plan_bytes(miss));
+  EXPECT_EQ(plan_bytes(batch[1]), plan_bytes(miss));
+  EXPECT_EQ(plan_bytes(disk), plan_bytes(miss));
+
+  // The answers are the engine's pairs, in engine order, named through the
+  // dictionary and escaped as a Json tree escapes them.
+  auto snapshot = LoadGraphSnapshot(graph);
+  ASSERT_TRUE(snapshot.ok());
+  const GraphDb& db = (*snapshot)->db;
+  SignedAlphabet alphabet = (*snapshot)->alphabet;
+  RegexPtr query = ParseRegex("r* s").value();
+  RegisterRelations({query}, &alphabet);
+  StatusOr<Nfa> nfa = CompileRegex(query, alphabet);
+  ASSERT_TRUE(nfa.ok());
+  JsonArray expected;
+  for (const auto& [x, y] : EvalRpqiAllPairs(db, CompileEvalPlan(*nfa))) {
+    expected.push_back(Json::Arr({Json::Str(std::string(db.NodeName(x))),
+                                  Json::Str(std::string(db.NodeName(y)))}));
+  }
+  ASSERT_EQ(expected.size(), 3u);
+  const std::string answers = Json::Arr(expected).Dump();
+  EXPECT_EQ(FindField(MustParse(miss), "answers")->Dump(), answers);
+  size_t spliced = miss.find("\"answers\":" + answers + ",\"cache\"");
+  EXPECT_NE(spliced, std::string::npos) << miss;
+  EXPECT_NE(none.find("\"answers\":[],\"cache\""), std::string::npos) << none;
 }
 
 }  // namespace
