@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <limits>
+#include <new>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "analysis/validate.h"
+#include "fault/fault.h"
 #include "graphdb/eval.h"
+#include "graphdb/mask_db.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -15,7 +19,8 @@ namespace rpqi {
 
 namespace {
 
-/// Candidate edge (from, relation, to) in the dense enumeration order.
+/// Candidate edge (from, relation, to) in the dense enumeration order:
+/// index = (from · objects + to) · relations + relation.
 struct CandidateEdges {
   int num_objects;
   int num_relations;
@@ -30,10 +35,9 @@ struct CandidateEdges {
 };
 
 /// The candidate space of `instance`: |D_V|² · |Σ| edges, computed in 64
-/// bits. The solver indexes edges with int and sizes its edge-state array by
-/// the count, so a space past the int range is rejected here, before
-/// anything is allocated: a wrapped count would make the search silently
-/// wrong or abort the process.
+/// bits. The solver indexes edges with int, so a space past the int range is
+/// rejected here, before anything is allocated: a wrapped count would make
+/// the search silently wrong or abort the process.
 StatusOr<CandidateEdges> CandidateSpace(const AnsweringInstance& instance) {
   CandidateEdges space{instance.num_objects, instance.query.num_symbols() / 2};
   const int64_t count = int64_t{space.num_objects} * space.num_objects *
@@ -49,20 +53,21 @@ StatusOr<CandidateEdges> CandidateSpace(const AnsweringInstance& instance) {
   return space;
 }
 
-enum EdgeState : char { kUnknown = 0, kIn = 1, kOut = 2 };
-
-GraphDb BuildGraph(const CandidateEdges& space,
-                   const std::vector<char>& edge_state, bool include_unknown) {
+/// A database with the nodes "obj0".."obj<n-1>" and no edges.
+GraphDb ObjectNodes(int num_objects) {
   GraphDb db;
-  for (int i = 0; i < space.num_objects; ++i) {
-    db.AddNode("obj" + std::to_string(i));
-  }
-  for (int index = 0; index < space.Count(); ++index) {
-    if (edge_state[index] == kIn ||
-        (include_unknown && edge_state[index] == kUnknown)) {
-      int from, relation, to;
-      space.Decode(index, &from, &relation, &to);
-      db.AddEdge(from, relation, to);
+  for (int i = 0; i < num_objects; ++i) db.AddNode("obj" + std::to_string(i));
+  return db;
+}
+
+/// The database of the edges set in `edges`, added in candidate index order.
+GraphDb BuildGraph(const MaskDb& edges) {
+  GraphDb db = ObjectNodes(edges.num_objects());
+  for (int from = 0; from < edges.num_objects(); ++from) {
+    for (int to = 0; to < edges.num_objects(); ++to) {
+      for (int relation = 0; relation < edges.num_relations(); ++relation) {
+        if (edges.HasEdge(from, relation, to)) db.AddEdge(from, relation, to);
+      }
     }
   }
   return db;
@@ -111,190 +116,11 @@ bool ConsistentWithViews(const AnsweringInstance& instance,
   return true;
 }
 
-/// Backtracking search for a consistent database where the query pair (c,d)
-/// is absent (`want_query_pair == false`, certain-answer refutation) or
-/// present (`want_query_pair == true`, possible-answer witness).
-class CdaSolver {
- public:
-  /// Compiles the query and every view definition once: every evaluation
-  /// of the search runs on these plans and on one scratch.
-  CdaSolver(const AnsweringInstance& instance, const CandidateEdges& space,
-            int c, int d, bool want_query_pair, int64_t max_nodes,
-            Budget* budget)
-      : instance_(instance),
-        space_(space),
-        c_(c),
-        d_(d),
-        want_query_pair_(want_query_pair),
-        max_nodes_(max_nodes),
-        budget_(budget),
-        query_plan_(CompileEvalPlan(instance.query)) {
-    view_plans_.reserve(instance.views.size());
-    for (const View& view : instance.views) {
-      view_plans_.push_back(CompileEvalPlan(view.definition));
-    }
-  }
-
-  /// Returns the witness database, nullopt if none exists, or a status on
-  /// budget exhaustion.
-  StatusOr<CdaResult> Solve() {
-    static const obs::Counter probes("cda.probes");
-    static const obs::Counter visited_counter("cda.nodes_visited");
-    obs::Span span("answer.CDA.probe");
-    probes.Increment();
-    std::vector<char> edge_state(space_.Count(), kUnknown);
-    CdaResult result;
-    Status status = Search(edge_state, &result);
-    visited_counter.Add(nodes_visited_);  // flush even on budget exhaustion
-    span.Note("nodes_visited", nodes_visited_);
-    if (!status.ok()) return status;
-    result.nodes_visited = nodes_visited_;
-    if (result.witness.has_value()) {
-      // A witness database leaves the solver and is re-evaluated by callers:
-      // its edges must stay within the instance's relation alphabet.
-      RPQI_VALIDATE_STAGE(
-          ValidateGraphDb(*result.witness, space_.num_relations));
-    }
-    return result;
-  }
-
- private:
-  /// Pruning bounds. Monotonicity of RPQIs (more edges ⇒ more answers) gives:
-  ///  * lower graph L (kIn edges only): any completion has ans ⊇ ans(·, L);
-  ///  * upper graph U (kIn + kUnknown): any completion has ans ⊆ ans(·, U).
-  Status Search(std::vector<char>& edge_state, CdaResult* result) {
-    if (++nodes_visited_ > max_nodes_) {
-      return Status::ResourceExhausted("CDA search exceeded node budget");
-    }
-    RPQI_RETURN_IF_ERROR(BudgetCharge(budget_, 1));
-    GraphDb lower = BuildGraph(space_, edge_state, /*include_unknown=*/false);
-    GraphDb upper = BuildGraph(space_, edge_state, /*include_unknown=*/true);
-
-    // --- Pruning (conditions that no completion of this assignment can fix).
-    for (size_t i = 0; i < instance_.views.size(); ++i) {
-      const View& view = instance_.views[i];
-      bool needs_lower_bound = view.assumption != ViewAssumption::kComplete;
-      bool needs_upper_bound = view.assumption != ViewAssumption::kSound;
-      // ext ⊆ ans must be achievable: ans over U is the best case.
-      if (needs_lower_bound &&
-          !PairsSubset(view.extension, upper, view_plans_[i], &scratch_)) {
-        return Status::Ok();
-      }
-      // ans ⊆ ext must be achievable: ans over L is the least case.
-      if (needs_upper_bound &&
-          !AnswersWithin(lower, view_plans_[i], view.extension, &scratch_)) {
-        return Status::Ok();
-      }
-    }
-    if (!want_query_pair_ &&
-        EvalRpqiPair(lower, query_plan_, c_, d_, &scratch_)) {
-      return Status::Ok();  // (c,d) already forced into the answer
-    }
-    if (want_query_pair_ &&
-        !EvalRpqiPair(upper, query_plan_, c_, d_, &scratch_)) {
-      return Status::Ok();  // (c,d) can no longer be answered
-    }
-
-    // --- Early acceptance: L itself may already witness the goal.
-    if (LowerGraphWorks(lower)) {
-      result->witness = lower;
-      return Status::Ok();
-    }
-
-    // --- Complete assignment?
-    int branch_edge = -1;
-    for (int index = 0; index < space_.Count(); ++index) {
-      if (edge_state[index] == kUnknown) {
-        branch_edge = index;
-        break;
-      }
-    }
-    if (branch_edge < 0) {
-      // L == U; all pruning checks above imply full consistency.
-      if (QueryGoalMet(lower)) result->witness = lower;
-      return Status::Ok();
-    }
-
-    // --- Branch: try excluding the edge first (biases the search toward
-    // sparse witnesses, which are the interesting ones for certain answers),
-    // then including it.
-    for (char value : {kOut, kIn}) {
-      edge_state[branch_edge] = value;
-      Status status = Search(edge_state, result);
-      if (!status.ok()) return status;
-      if (result->witness.has_value()) return Status::Ok();
-    }
-    edge_state[branch_edge] = kUnknown;
-    return Status::Ok();
-  }
-
-  bool QueryGoalMet(const GraphDb& db) {
-    return EvalRpqiPair(db, query_plan_, c_, d_, &scratch_) ==
-           want_query_pair_;
-  }
-
-  /// True if the lower graph L is consistent and meets the query goal — an
-  /// early accept that skips the remaining branching.
-  bool LowerGraphWorks(const GraphDb& lower) {
-    if (!QueryGoalMet(lower)) return false;
-    for (size_t i = 0; i < instance_.views.size(); ++i) {
-      const View& view = instance_.views[i];
-      bool needs_lower_bound = view.assumption != ViewAssumption::kComplete;
-      bool needs_upper_bound = view.assumption != ViewAssumption::kSound;
-      if (needs_lower_bound &&
-          !PairsSubset(view.extension, lower, view_plans_[i], &scratch_)) {
-        return false;
-      }
-      if (needs_upper_bound &&
-          !AnswersWithin(lower, view_plans_[i], view.extension, &scratch_)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  const AnsweringInstance& instance_;
-  CandidateEdges space_;
-  int c_;
-  int d_;
-  bool want_query_pair_;
-  int64_t max_nodes_;
-  Budget* budget_;
-  FlatNfa query_plan_;
-  std::vector<FlatNfa> view_plans_;
-  EvalScratch scratch_;
-  int64_t nodes_visited_ = 0;
-};
-
-}  // namespace
-
-StatusOr<CdaResult> CertainAnswerCda(const AnsweringInstance& instance, int c,
-                                     int d, const CdaOptions& options) {
-  CheckInstance(instance);
-  RPQI_ASSIGN_OR_RETURN(CandidateEdges space, CandidateSpace(instance));
-  CdaSolver solver(instance, space, c, d, /*want_query_pair=*/false,
-                   options.max_nodes, options.budget);
-  StatusOr<CdaResult> result = solver.Solve();
-  if (!result.ok()) return result;
-  // (c,d) is certain iff no consistent counterexample database exists.
-  result->certain = !result->witness.has_value();
-  return result;
-}
-
-StatusOr<CdaResult> PossibleAnswerCda(const AnsweringInstance& instance, int c,
-                                      int d, const CdaOptions& options) {
-  CheckInstance(instance);
-  RPQI_ASSIGN_OR_RETURN(CandidateEdges space, CandidateSpace(instance));
-  CdaSolver solver(instance, space, c, d, /*want_query_pair=*/true,
-                   options.max_nodes, options.budget);
-  StatusOr<CdaResult> result = solver.Solve();
-  if (!result.ok()) return result;
-  result->certain = result->witness.has_value();  // here: "possible"
-  return result;
-}
-
-bool CertainAnswerCdaBruteForce(const AnsweringInstance& instance, int c,
-                                int d) {
+/// The brute-force oracles' enumeration: is there a database consistent with
+/// the views whose answer to the query contains (c,d) exactly when
+/// `want_query_pair`?
+bool SomeConsistentDatabase(const AnsweringInstance& instance, int c, int d,
+                            bool want_query_pair) {
   CheckInstance(instance);
   StatusOr<CandidateEdges> candidates = CandidateSpace(instance);
   RPQI_CHECK(candidates.ok() && candidates->Count() <= 24)
@@ -308,16 +134,301 @@ bool CertainAnswerCdaBruteForce(const AnsweringInstance& instance, int c,
   EvalScratch scratch;
 
   for (uint32_t mask = 0; mask < (uint32_t{1} << space.Count()); ++mask) {
-    std::vector<char> edge_state(space.Count(), kOut);
+    GraphDb db = ObjectNodes(space.num_objects);
     for (int index = 0; index < space.Count(); ++index) {
-      if ((mask >> index) & 1) edge_state[index] = kIn;
+      if ((mask >> index) & 1) {
+        int from, relation, to;
+        space.Decode(index, &from, &relation, &to);
+        db.AddEdge(from, relation, to);
+      }
     }
-    GraphDb db = BuildGraph(space, edge_state, /*include_unknown=*/false);
     if (!ConsistentWithViews(instance, view_plans, db, &scratch)) continue;
-    // A consistent database without (c,d): a counterexample.
-    if (!EvalRpqiPair(db, query, c, d, &scratch)) return false;
+    if (EvalRpqiPair(db, query, c, d, &scratch) == want_query_pair) {
+      return true;
+    }
   }
-  return true;
+  return false;
+}
+
+}  // namespace
+
+struct CdaSolver::Impl {
+  /// One view's compiled definition, with its extension as one mask row per
+  /// first component: row a holds every b with (a, b) in ext(V).
+  struct ViewCheck {
+    FlatNfa plan;
+    bool needs_lower_bound;  // sound or exact: ext ⊆ ans
+    bool needs_upper_bound;  // complete or exact: ans ⊆ ext
+    std::vector<uint64_t> extension;  // [object][word]
+  };
+
+  /// Which of the two graphs a branch changed: excluding an edge shrinks
+  /// the upper graph, including one grows the lower graph.
+  enum class Changed { kBoth, kLower, kUpper };
+
+  CandidateEdges space;
+  int64_t max_nodes;
+  Budget* budget;
+  FlatNfa query_plan;
+  std::vector<ViewCheck> views;
+  MaskDb lower;
+  MaskDb upper;
+  MaskEvaluator evaluator;
+
+  // The probe in progress.
+  int c = 0;
+  int d = 0;
+  bool want_query_pair = false;
+  int64_t nodes_visited = 0;
+  int64_t evals = 0;
+  std::optional<GraphDb> witness;
+
+  Impl(const AnsweringInstance& instance, const CandidateEdges& space_in,
+       const CdaOptions& options)
+      : space(space_in),
+        max_nodes(options.max_nodes),
+        budget(options.budget),
+        query_plan(CompileEvalPlan(instance.query)),
+        views(CompileViews(instance)),
+        lower(space.num_objects, space.num_relations),
+        upper(space.num_objects, space.num_relations),
+        evaluator(MaxStates(query_plan, views), space.num_objects) {}
+
+  static std::vector<ViewCheck> CompileViews(
+      const AnsweringInstance& instance) {
+    const int words = (instance.num_objects + 63) / 64;
+    std::vector<ViewCheck> checks;
+    checks.reserve(instance.views.size());
+    for (const View& view : instance.views) {
+      ViewCheck check{CompileEvalPlan(view.definition),
+                      view.assumption != ViewAssumption::kComplete,
+                      view.assumption != ViewAssumption::kSound,
+                      std::vector<uint64_t>(
+                          static_cast<size_t>(instance.num_objects) * words)};
+      for (const auto& [a, b] : view.extension) {
+        check.extension[static_cast<size_t>(a) * words + (b >> 6)] |=
+            uint64_t{1} << (b & 63);
+      }
+      checks.push_back(std::move(check));
+    }
+    return checks;
+  }
+
+  static int MaxStates(const FlatNfa& query,
+                       const std::vector<ViewCheck>& views) {
+    int states = query.NumStates();
+    for (const ViewCheck& view : views) {
+      states = std::max(states, view.plan.NumStates());
+    }
+    return states;
+  }
+
+  StatusOr<CdaResult> Probe(int c_in, int d_in, bool want_query_pair_in) {
+    static const obs::Counter probes("cda.probes");
+    static const obs::Counter visited_counter("cda.nodes_visited");
+    static const obs::Counter evals_counter("cda.evals");
+    RPQI_CHECK(0 <= c_in && c_in < space.num_objects && 0 <= d_in &&
+               d_in < space.num_objects)
+        << "probe (" << c_in << "," << d_in << ") outside "
+        << space.num_objects << " objects";
+    obs::Span span("answer.CDA.probe");
+    probes.Increment();
+    c = c_in;
+    d = d_in;
+    want_query_pair = want_query_pair_in;
+    nodes_visited = 0;
+    evals = 0;
+    witness.reset();
+    // Every candidate edge starts undecided: in U, not in L.
+    lower.Clear();
+    upper.Fill();
+    Status status = Search(0, Changed::kBoth);
+    // Flushed once per probe, even on budget exhaustion.
+    visited_counter.Add(nodes_visited);
+    evals_counter.Add(evals);
+    span.Note("nodes_visited", nodes_visited);
+    span.Note("evals", evals);
+    if (!status.ok()) return status;
+    CdaResult result;
+    result.nodes_visited = nodes_visited;
+    result.witness = std::move(witness);
+    if (result.witness.has_value()) {
+      // A witness database leaves the solver and is re-evaluated by callers:
+      // its edges must stay within the instance's relation alphabet.
+      RPQI_VALIDATE_STAGE(
+          ValidateGraphDb(*result.witness, space.num_relations));
+    }
+    return result;
+  }
+
+  /// Backtracking search below the node whose undecided edges are
+  /// [next_edge, Count()). Only branching decides edges, always the first
+  /// undecided one in index order, so the decided edges are the prefix.
+  ///
+  /// Pruning bounds. Monotonicity of RPQIs (more edges ⇒ more answers) gives:
+  ///  * lower graph L (edges in): any completion has ans ⊇ ans(·, L);
+  ///  * upper graph U (edges not out): any completion has ans ⊆ ans(·, U).
+  /// A check on a graph the branch left unchanged passed at the parent, so
+  /// it is not run again.
+  Status Search(int next_edge, Changed changed) {
+    if (++nodes_visited > max_nodes) {
+      return Status::ResourceExhausted("CDA search exceeded node budget");
+    }
+    RPQI_RETURN_IF_ERROR(BudgetCharge(budget, 1));
+    const bool lower_changed = changed != Changed::kUpper;
+    const bool upper_changed = changed != Changed::kLower;
+
+    // --- Pruning (conditions that no completion of this assignment can fix).
+    for (const ViewCheck& view : views) {
+      // ext ⊆ ans must be achievable: ans over U is the best case.
+      if (upper_changed && view.needs_lower_bound && !Covers(upper, view)) {
+        return Status::Ok();
+      }
+      // ans ⊆ ext must be achievable: ans over L is the least case.
+      if (lower_changed && view.needs_upper_bound && !Within(lower, view)) {
+        return Status::Ok();
+      }
+    }
+    if (!want_query_pair && lower_changed && QueryAnswers(lower)) {
+      return Status::Ok();  // (c,d) already forced into the answer
+    }
+    if (want_query_pair && upper_changed && !QueryAnswers(upper)) {
+      return Status::Ok();  // (c,d) can no longer be answered
+    }
+
+    // --- Early acceptance: L itself may already witness the goal. This
+    // depends on L alone, and a branch that kept L knows the parent's failed.
+    if (lower_changed && LowerGraphWorks()) {
+      witness = BuildGraph(lower);
+      return Status::Ok();
+    }
+
+    // --- Complete assignment: L == U, so the pruning checks above make L
+    // consistent, and L does not meet the query goal.
+    if (next_edge == space.Count()) return Status::Ok();
+
+    // --- Branch: try excluding the edge first (biases the search toward
+    // sparse witnesses, which are the interesting ones for certain answers),
+    // then including it.
+    int from, relation, to;
+    space.Decode(next_edge, &from, &relation, &to);
+    upper.RemoveEdge(from, relation, to);
+    RPQI_RETURN_IF_ERROR(Search(next_edge + 1, Changed::kUpper));
+    if (witness.has_value()) return Status::Ok();
+    upper.AddEdge(from, relation, to);
+    lower.AddEdge(from, relation, to);
+    RPQI_RETURN_IF_ERROR(Search(next_edge + 1, Changed::kLower));
+    if (witness.has_value()) return Status::Ok();
+    lower.RemoveEdge(from, relation, to);
+    return Status::Ok();
+  }
+
+  std::span<const uint64_t> Eval(const MaskDb& db, const FlatNfa& plan,
+                                 int source) {
+    ++evals;
+    return evaluator.Run(db, plan, source);
+  }
+
+  bool QueryAnswers(const MaskDb& db) {
+    return MaskEvaluator::Contains(Eval(db, query_plan, c), d);
+  }
+
+  /// ext(V) ⊆ ans(def(V), db): one evaluation per object with a nonempty
+  /// extension row.
+  bool Covers(const MaskDb& db, const ViewCheck& view) {
+    const int words = db.words();
+    for (int a = 0; a < db.num_objects(); ++a) {
+      const uint64_t* required =
+          view.extension.data() + static_cast<size_t>(a) * words;
+      if (std::all_of(required, required + words,
+                      [](uint64_t word) { return word == 0; })) {
+        continue;
+      }
+      std::span<const uint64_t> answers = Eval(db, view.plan, a);
+      for (int k = 0; k < words; ++k) {
+        if ((required[k] & ~answers[k]) != 0) return false;
+      }
+    }
+    return true;
+  }
+
+  /// ans(def(V), db) ⊆ ext(V).
+  bool Within(const MaskDb& db, const ViewCheck& view) {
+    const int words = db.words();
+    for (int a = 0; a < db.num_objects(); ++a) {
+      std::span<const uint64_t> answers = Eval(db, view.plan, a);
+      const uint64_t* allowed =
+          view.extension.data() + static_cast<size_t>(a) * words;
+      for (int k = 0; k < words; ++k) {
+        if ((answers[k] & ~allowed[k]) != 0) return false;
+      }
+    }
+    return true;
+  }
+
+  /// True if the lower graph L is consistent and meets the query goal — an
+  /// early accept that skips the remaining branching. Called after the
+  /// pruning checks passed on L: ans ⊆ ext already holds for every view,
+  /// and a certain-answer probe already knows (c,d) ∉ ans(Q, L).
+  bool LowerGraphWorks() {
+    if (want_query_pair && !QueryAnswers(lower)) return false;
+    for (const ViewCheck& view : views) {
+      if (view.needs_lower_bound && !Covers(lower, view)) return false;
+    }
+    return true;
+  }
+};
+
+CdaSolver::CdaSolver(const AnsweringInstance& instance,
+                     const CdaOptions& options) {
+  CheckInstance(instance);
+  StatusOr<CandidateEdges> space = CandidateSpace(instance);
+  if (!space.ok()) {
+    space_status_ = space.status();
+    return;
+  }
+  if (RPQI_FAULT_FIRED("cda.mask_alloc")) throw std::bad_alloc();
+  impl_ = std::make_unique<Impl>(instance, *space, options);
+}
+
+CdaSolver::~CdaSolver() = default;
+
+StatusOr<CdaResult> CdaSolver::CertainAnswer(int c, int d) {
+  RPQI_RETURN_IF_ERROR(space_status_);
+  StatusOr<CdaResult> result = impl_->Probe(c, d, /*want_query_pair=*/false);
+  if (!result.ok()) return result;
+  // (c,d) is certain iff no consistent counterexample database exists.
+  result->certain = !result->witness.has_value();
+  return result;
+}
+
+StatusOr<CdaResult> CdaSolver::PossibleAnswer(int c, int d) {
+  RPQI_RETURN_IF_ERROR(space_status_);
+  StatusOr<CdaResult> result = impl_->Probe(c, d, /*want_query_pair=*/true);
+  if (!result.ok()) return result;
+  result->certain = result->witness.has_value();  // here: "possible"
+  return result;
+}
+
+StatusOr<CdaResult> CertainAnswerCda(const AnsweringInstance& instance, int c,
+                                     int d, const CdaOptions& options) {
+  return CdaSolver(instance, options).CertainAnswer(c, d);
+}
+
+StatusOr<CdaResult> PossibleAnswerCda(const AnsweringInstance& instance, int c,
+                                      int d, const CdaOptions& options) {
+  return CdaSolver(instance, options).PossibleAnswer(c, d);
+}
+
+bool CertainAnswerCdaBruteForce(const AnsweringInstance& instance, int c,
+                                int d) {
+  // Certain iff no consistent database leaves (c,d) out.
+  return !SomeConsistentDatabase(instance, c, d, /*want_query_pair=*/false);
+}
+
+bool PossibleAnswerCdaBruteForce(const AnsweringInstance& instance, int c,
+                                 int d) {
+  return SomeConsistentDatabase(instance, c, d, /*want_query_pair=*/true);
 }
 
 }  // namespace rpqi

@@ -25,9 +25,9 @@ class EvalKernel {
   /// arrays, no per-state pointer chasing on either side.
   static Status Run(const GraphDb& db, const FlatNfa& plan, int start_node,
                     Budget* budget, EvalScratch& scratch) {
-    // Counters are accumulated in locals and flushed once per BFS: this runs
-    // once per (start node, probe) inside the CDA search, so per-config
-    // atomic traffic would dominate the loop.
+    // Counters are accumulated in locals and flushed once per BFS: the
+    // all-pairs sweep runs this once per source node, so per-config atomic
+    // traffic would dominate the loop.
     static const obs::Counter bfs_runs("eval.bfs_runs");
     static const obs::Counter configurations("eval.configurations");
     static const obs::Counter csr_runs("eval.csr_runs");
@@ -172,9 +172,9 @@ StatusOr<Bitset> EvalRpqiFromWithBudget(const GraphDb& db, const FlatNfa& plan,
 StatusOr<std::vector<std::pair<int, int>>> EvalRpqiAllPairsWithBudget(
     const GraphDb& db, const FlatNfa& plan, Budget* budget,
     EvalScratch* scratch) {
-  // Per-pair/per-start spans would flood the trace (the CDA search runs the
-  // single-source kernel thousands of times); only the all-pairs sweep is
-  // coarse enough to be worth a span.
+  // Per-pair/per-start spans would flood the trace (a sweep runs the
+  // single-source kernel once per node); only the all-pairs sweep is coarse
+  // enough to be worth a span.
   obs::Span span("eval.all_pairs");
   EvalScratch local;
   EvalScratch& s = scratch != nullptr ? *scratch : local;

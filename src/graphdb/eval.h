@@ -17,7 +17,7 @@ namespace rpqi {
 /// Compiles a query to its eval plan: CompileFlat plus the
 /// `eval.plan_compiles` counter. Eval takes only compiled plans, so every
 /// caller compiles once and holds the plan for as many runs as it needs (the
-/// all-pairs sweep, a serve request, a whole CDA search); the counter is how
+/// all-pairs sweep, a serve request, a CDA solver); the counter is how
 /// tests pin that compiles never scale with the number of BFS runs.
 FlatNfa CompileEvalPlan(const Nfa& query);
 

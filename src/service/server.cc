@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <new>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -544,18 +545,26 @@ std::string Server::ExecuteToResponse(const Request& request,
                            "'; retrying after cooldown");
     } else {
       Budget budget = request.admission.MakeBudget();
-      if (request.op == "eval") {
-        cacheable_op = true;
-        fields = OpEval(request, &budget, &cache_source, ctx);
-      } else if (request.op == "rewrite") {
-        cacheable_op = true;
-        fields = OpRewrite(request, &budget, &cache_source, ctx);
-      } else if (request.op == "answer") {
-        fields = OpAnswer(request, &budget);
-      } else if (request.op == "admin") {
-        fields = OpAdmin(request);
-      } else {
-        fields = Status::InvalidArgument("unknown op '" + request.op + "'");
+      // Running out of memory fails this request, not the process: every
+      // other client keeps being served, and the breaker counts it as the
+      // engine giving out.
+      try {
+        if (request.op == "eval") {
+          cacheable_op = true;
+          fields = OpEval(request, &budget, &cache_source, ctx);
+        } else if (request.op == "rewrite") {
+          cacheable_op = true;
+          fields = OpRewrite(request, &budget, &cache_source, ctx);
+        } else if (request.op == "answer") {
+          fields = OpAnswer(request, &budget);
+        } else if (request.op == "admin") {
+          fields = OpAdmin(request);
+        } else {
+          fields = Status::InvalidArgument("unknown op '" + request.op + "'");
+        }
+      } catch (const std::bad_alloc&) {
+        fields = Status::ResourceExhausted("out of memory executing op '" +
+                                           request.op + "'");
       }
     }
     if (breaker_guarded) {
@@ -922,9 +931,11 @@ StatusOr<JsonObject> Server::OpAnswer(const Request& request, Budget* budget) {
   } else {
     CdaOptions options;
     options.budget = budget;
+    // One solver for the whole probe batch: the plans are compiled and the
+    // search masks allocated once.
+    CdaSolver solver(instance, options);
     for (const auto& [c, d] : probes) {
-      RPQI_ASSIGN_OR_RETURN(CdaResult result,
-                            CertainAnswerCda(instance, c, d, options));
+      RPQI_ASSIGN_OR_RETURN(CdaResult result, solver.CertainAnswer(c, d));
       results.push_back(Json::Obj({{"pair", Json::Arr({Json::Int(c),
                                                        Json::Int(d)})},
                                    {"certain", Json::Bool(result.certain)}}));

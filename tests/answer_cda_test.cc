@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "answer/cda.h"
 #include "answer/views.h"
+#include "graphdb/eval.h"
 #include "regex/parser.h"
 #include "rpq/alphabet.h"
 #include "rpq/compile.h"
@@ -125,51 +130,196 @@ TEST(CdaTest, ClosedDomainCertainButOpenWouldNot) {
   EXPECT_TRUE(Certain(b.instance, 0, 1));
 }
 
-TEST(CdaTest, AgreesWithBruteForceOnRandomInstances) {
-  std::mt19937_64 rng(79);
+/// A random instance over `relations` with 1–2 views of random assumptions.
+AnsweringInstance RandomInstance(std::mt19937_64& rng,
+                                 const std::vector<std::string>& relations,
+                                 int num_objects) {
   RandomRegexOptions regex_options;
-  regex_options.relation_names = {"p"};
+  regex_options.relation_names = relations;
   regex_options.target_size = 4;
   regex_options.inverse_probability = 0.3;
-
   SignedAlphabet alphabet;
-  alphabet.AddRelation("p");
+  for (const std::string& relation : relations) alphabet.AddRelation(relation);
 
-  for (int trial = 0; trial < 25; ++trial) {
-    AnsweringInstance instance;
-    instance.num_objects = 2 + static_cast<int>(rng() % 2);  // 2..3 objects
-    instance.query =
-        MustCompileRegex(RandomRegex(rng, regex_options), alphabet);
-    int num_views = 1 + static_cast<int>(rng() % 2);
-    for (int v = 0; v < num_views; ++v) {
-      View view;
-      RandomRegexOptions view_options = regex_options;
-      view_options.target_size = 2;
-      view.definition =
-          MustCompileRegex(RandomRegex(rng, view_options), alphabet);
-      int num_pairs = static_cast<int>(rng() % 3);
-      for (int i = 0; i < num_pairs; ++i) {
-        view.extension.push_back(
-            {static_cast<int>(rng() % instance.num_objects),
-             static_cast<int>(rng() % instance.num_objects)});
-      }
-      switch (rng() % 3) {
-        case 0: view.assumption = ViewAssumption::kSound; break;
-        case 1: view.assumption = ViewAssumption::kComplete; break;
-        default: view.assumption = ViewAssumption::kExact; break;
-      }
-      instance.views.push_back(std::move(view));
+  AnsweringInstance instance;
+  instance.num_objects = num_objects;
+  instance.query = MustCompileRegex(RandomRegex(rng, regex_options), alphabet);
+  int num_views = 1 + static_cast<int>(rng() % 2);
+  for (int v = 0; v < num_views; ++v) {
+    View view;
+    RandomRegexOptions view_options = regex_options;
+    view_options.target_size = 2;
+    view.definition =
+        MustCompileRegex(RandomRegex(rng, view_options), alphabet);
+    int num_pairs = static_cast<int>(rng() % 3);
+    for (int i = 0; i < num_pairs; ++i) {
+      view.extension.push_back({static_cast<int>(rng() % num_objects),
+                                static_cast<int>(rng() % num_objects)});
     }
+    switch (rng() % 3) {
+      case 0: view.assumption = ViewAssumption::kSound; break;
+      case 1: view.assumption = ViewAssumption::kComplete; break;
+      default: view.assumption = ViewAssumption::kExact; break;
+    }
+    instance.views.push_back(std::move(view));
+  }
+  return instance;
+}
+
+/// Is `db` consistent with every view of `instance`? Evaluated on the
+/// GraphDb eval kernel, independently of the solver's masks.
+bool ConsistentOnGraphDb(const AnsweringInstance& instance,
+                         const GraphDb& db) {
+  for (const View& view : instance.views) {
+    std::vector<std::pair<int, int>> listed =
+        EvalRpqiAllPairs(db, CompileEvalPlan(view.definition));
+    std::set<std::pair<int, int>> answers(listed.begin(), listed.end());
+    std::set<std::pair<int, int>> extension(view.extension.begin(),
+                                            view.extension.end());
+    bool sound = std::includes(answers.begin(), answers.end(),
+                               extension.begin(), extension.end());
+    bool complete = std::includes(extension.begin(), extension.end(),
+                                  answers.begin(), answers.end());
+    switch (view.assumption) {
+      case ViewAssumption::kSound:
+        if (!sound) return false;
+        break;
+      case ViewAssumption::kComplete:
+        if (!complete) return false;
+        break;
+      case ViewAssumption::kExact:
+        if (!sound || !complete) return false;
+        break;
+    }
+  }
+  return true;
+}
+
+/// Checks a probe's witness on the GraphDb kernel: its nodes are the
+/// objects, it is consistent with the views, and it answers (c,d) exactly
+/// when the probe wants the pair (a possible answer's witness) rather than
+/// refutes it (a certain answer's counterexample).
+void ExpectValidWitness(const AnsweringInstance& instance, int c, int d,
+                        const GraphDb& witness, bool want_query_pair) {
+  EXPECT_EQ(witness.NumNodes(), instance.num_objects);
+  EXPECT_TRUE(ConsistentOnGraphDb(instance, witness));
+  EXPECT_EQ(EvalRpqiPair(witness, CompileEvalPlan(instance.query), c, d),
+            want_query_pair);
+}
+
+TEST(CdaTest, AgreesWithBruteForceOnRandomInstances) {
+  std::mt19937_64 rng(79);
+  for (int trial = 0; trial < 40; ++trial) {
+    // One relation at 2..3 objects, or two at 2 objects: at most 9 or 8
+    // candidate edges keep the brute force at a few hundred databases.
+    const bool two_relations = trial % 2 == 1;
+    AnsweringInstance instance =
+        two_relations
+            ? RandomInstance(rng, {"p", "q"}, 2)
+            : RandomInstance(rng, {"p"}, 2 + static_cast<int>(rng() % 2));
     for (int c = 0; c < instance.num_objects; ++c) {
       for (int d = 0; d < instance.num_objects; ++d) {
-        StatusOr<CdaResult> solver = CertainAnswerCda(instance, c, d);
-        ASSERT_TRUE(solver.ok());
-        bool brute = CertainAnswerCdaBruteForce(instance, c, d);
-        EXPECT_EQ(solver->certain, brute)
-            << "trial " << trial << " pair (" << c << "," << d << ")";
+        SCOPED_TRACE("trial " + std::to_string(trial) + " pair (" +
+                     std::to_string(c) + "," + std::to_string(d) + ")");
+        StatusOr<CdaResult> certain = CertainAnswerCda(instance, c, d);
+        ASSERT_TRUE(certain.ok());
+        EXPECT_EQ(certain->certain, CertainAnswerCdaBruteForce(instance, c, d));
+        EXPECT_EQ(certain->witness.has_value(), !certain->certain);
+        if (certain->witness.has_value()) {
+          ExpectValidWitness(instance, c, d, *certain->witness,
+                             /*want_query_pair=*/false);
+        }
+        StatusOr<CdaResult> possible = PossibleAnswerCda(instance, c, d);
+        ASSERT_TRUE(possible.ok());
+        EXPECT_EQ(possible->certain,
+                  PossibleAnswerCdaBruteForce(instance, c, d));
+        EXPECT_EQ(possible->witness.has_value(), possible->certain);
+        if (possible->witness.has_value()) {
+          ExpectValidWitness(instance, c, d, *possible->witness,
+                             /*want_query_pair=*/true);
+        }
       }
     }
   }
+}
+
+/// Same nodes (by name) and the same out-edge lists in the same order.
+bool SameDatabase(const GraphDb& a, const GraphDb& b) {
+  if (a.NumNodes() != b.NumNodes()) return false;
+  for (int node = 0; node < a.NumNodes(); ++node) {
+    if (a.NodeName(node) != b.NodeName(node)) return false;
+    const std::vector<GraphDb::Edge>& a_edges = a.OutEdges(node);
+    const std::vector<GraphDb::Edge>& b_edges = b.OutEdges(node);
+    if (a_edges.size() != b_edges.size()) return false;
+    for (size_t i = 0; i < a_edges.size(); ++i) {
+      if (a_edges[i].relation != b_edges[i].relation ||
+          a_edges[i].to != b_edges[i].to) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+void ExpectSameResult(const CdaResult& reused, const CdaResult& fresh) {
+  EXPECT_EQ(reused.certain, fresh.certain);
+  EXPECT_EQ(reused.nodes_visited, fresh.nodes_visited);
+  ASSERT_EQ(reused.witness.has_value(), fresh.witness.has_value());
+  if (reused.witness.has_value()) {
+    EXPECT_TRUE(SameDatabase(*reused.witness, *fresh.witness));
+  }
+}
+
+// A solver serves a whole request: probing every pair, certain and possible
+// probes interleaved, must leave no trace of one probe in the next.
+TEST(CdaSolverTest, OneSolverMatchesAFreshSolverPerPair) {
+  std::mt19937_64 rng(97);
+  for (int trial = 0; trial < 20; ++trial) {
+    AnsweringInstance instance =
+        trial % 2 == 1
+            ? RandomInstance(rng, {"p", "q"}, 2 + static_cast<int>(rng() % 2))
+            : RandomInstance(rng, {"p"}, 2 + static_cast<int>(rng() % 3));
+    CdaSolver solver(instance);
+    for (int c = 0; c < instance.num_objects; ++c) {
+      for (int d = 0; d < instance.num_objects; ++d) {
+        SCOPED_TRACE("trial " + std::to_string(trial) + " pair (" +
+                     std::to_string(c) + "," + std::to_string(d) + ")");
+        StatusOr<CdaResult> certain = solver.CertainAnswer(c, d);
+        StatusOr<CdaResult> fresh_certain = CertainAnswerCda(instance, c, d);
+        ASSERT_TRUE(certain.ok() && fresh_certain.ok());
+        ExpectSameResult(*certain, *fresh_certain);
+        StatusOr<CdaResult> possible = solver.PossibleAnswer(c, d);
+        StatusOr<CdaResult> fresh_possible = PossibleAnswerCda(instance, c, d);
+        ASSERT_TRUE(possible.ok() && fresh_possible.ok());
+        ExpectSameResult(*possible, *fresh_possible);
+      }
+    }
+  }
+}
+
+// `max_nodes` bounds each probe, not the solver's lifetime.
+TEST(CdaSolverTest, NodeBudgetIsPerProbe) {
+  Builder b(4, "p p p");
+  b.AddView("p", {{0, 1}, {1, 2}, {2, 3}}, ViewAssumption::kSound);
+  StatusOr<CdaResult> first = CertainAnswerCda(b.instance, 0, 3);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(first->certain);
+
+  CdaOptions exact_fit;
+  exact_fit.max_nodes = first->nodes_visited;
+  CdaSolver solver(b.instance, exact_fit);
+  for (int round = 0; round < 3; ++round) {
+    StatusOr<CdaResult> again = solver.CertainAnswer(0, 3);
+    ASSERT_TRUE(again.ok()) << "round " << round;
+    EXPECT_EQ(again->nodes_visited, first->nodes_visited);
+  }
+
+  CdaOptions one_short;
+  one_short.max_nodes = first->nodes_visited - 1;
+  StatusOr<CdaResult> exhausted =
+      CdaSolver(b.instance, one_short).CertainAnswer(0, 3);
+  ASSERT_FALSE(exhausted.ok());
+  EXPECT_EQ(exhausted.status().code(), Status::Code::kResourceExhausted);
 }
 
 TEST(CdaTest, CounterexampleIsConsistentAndExcludesPair) {

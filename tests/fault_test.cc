@@ -26,6 +26,7 @@ namespace {
 const char* const kKnownSites[] = {
     "automata.determinize_state",
     "automata.materialize_state",
+    "cda.mask_alloc",
     "graphdb.compact_write",
     "graphdb.parse_io",
     "net.accept",

@@ -278,10 +278,10 @@ TEST(FlatEvalDifferentialTest, AllPairsCompilesOncePerQuery) {
   }
 }
 
-// Each caller compiles its plans once and holds them, however many BFS runs
-// it makes. A CDA probe evaluates the query and the views at every search
-// node; before the solver held its plans, eval.plan_compiles equalled
-// eval.bfs_runs.
+// Each caller compiles its plans once and holds them, however many
+// evaluations it makes. A CDA solver compiles the query and each view on
+// construction and evaluates them on its bitmask databases at every search
+// node of every probe.
 TEST(EvalPlanCompileTest, CdaProbeCompilesQueryAndEachViewOnce) {
   SignedAlphabet alphabet;
   alphabet.AddRelation("p");
@@ -297,6 +297,7 @@ TEST(EvalPlanCompileTest, CdaProbeCompilesQueryAndEachViewOnce) {
   exact.extension = {{0, 2}};
   exact.assumption = ViewAssumption::kExact;
   instance.views = {sound, exact};
+  const int64_t plans = 1 + static_cast<int64_t>(instance.views.size());
 
   for (bool certain_probe : {true, false}) {
     obs::MetricsSnapshot before = obs::TakeMetricsSnapshot();
@@ -305,13 +306,22 @@ TEST(EvalPlanCompileTest, CdaProbeCompilesQueryAndEachViewOnce) {
                                      : PossibleAnswerCda(instance, 2, 0);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     obs::MetricsSnapshot delta = obs::TakeMetricsSnapshot().DeltaSince(before);
-    EXPECT_EQ(delta.CounterValue("eval.plan_compiles"),
-              1 + static_cast<int64_t>(instance.views.size()));
+    EXPECT_EQ(delta.CounterValue("eval.plan_compiles"), plans);
     // The search really evaluates repeatedly, so the invariant is not
-    // trivially met by a one-node search.
-    EXPECT_GT(delta.CounterValue("eval.bfs_runs"),
-              2 * (1 + static_cast<int64_t>(instance.views.size())));
+    // trivially met by a one-node search. It evaluates on masks, never on
+    // the GraphDb kernel.
+    EXPECT_GT(delta.CounterValue("cda.evals"), 2 * plans);
+    EXPECT_EQ(delta.CounterValue("eval.bfs_runs"), 0);
   }
+
+  // One solver probing both pairs compiles once for both.
+  obs::MetricsSnapshot before = obs::TakeMetricsSnapshot();
+  CdaSolver solver(instance);
+  ASSERT_TRUE(solver.CertainAnswer(0, 2).ok());
+  ASSERT_TRUE(solver.PossibleAnswer(2, 0).ok());
+  obs::MetricsSnapshot delta = obs::TakeMetricsSnapshot().DeltaSince(before);
+  EXPECT_EQ(delta.CounterValue("eval.plan_compiles"), plans);
+  EXPECT_EQ(delta.CounterValue("cda.probes"), 2);
 }
 
 TEST(EvalPlanCompileTest, MaterializersCompileEachDefinitionOnce) {

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "automata/random.h"
 #include "fault/fault.h"
 #include "graphdb/eval.h"
 #include "graphdb/graph.h"
 #include "graphdb/io.h"
+#include "graphdb/mask_db.h"
 #include "graphdb/views.h"
 #include "regex/parser.h"
 #include "rpq/compile.h"
@@ -241,6 +246,101 @@ TEST(GeneratorsTest, ShapesAreAsAdvertised) {
   EXPECT_EQ(tree.NumEdges(), 9);
   for (int node = 1; node < 10; ++node) {
     EXPECT_EQ(tree.InEdges(node).size(), 1u);  // single parent
+  }
+}
+
+TEST(MaskDbTest, FlipsBothRowsAndKeepsTailBitsClear) {
+  for (int n : {1, 63, 64, 65, 130}) {
+    MaskDb db(n, 2);
+    ASSERT_EQ(db.words(), (n + 63) / 64);
+    db.Fill();
+    for (int symbol = 0; symbol < 4; ++symbol) {
+      for (int object = 0; object < n; ++object) {
+        const uint64_t* row = db.Row(symbol, object);
+        for (int bit = 0; bit < db.words() * 64; ++bit) {
+          EXPECT_EQ((row[bit >> 6] >> (bit & 63)) & 1, bit < n ? 1u : 0u)
+              << "n=" << n << " symbol " << symbol << " bit " << bit;
+        }
+      }
+    }
+    // An edge lives in its forward row and its inverse row.
+    const int last = n - 1;
+    const size_t words = db.words();
+    db.RemoveEdge(0, 1, last);
+    EXPECT_FALSE(db.HasEdge(0, 1, last));
+    EXPECT_FALSE(MaskEvaluator::Contains({db.Row(3, last), words}, 0));
+    EXPECT_TRUE(db.HasEdge(0, 0, last));
+    db.Clear();
+    db.AddEdge(last, 0, 0);
+    EXPECT_TRUE(db.HasEdge(last, 0, 0));
+    EXPECT_TRUE(MaskEvaluator::Contains({db.Row(1, 0), words}, last));
+    EXPECT_FALSE(db.HasEdge(last, 1, 0));
+  }
+}
+
+// The CDA solver's bit-parallel evaluator against the GraphDb kernel on the
+// same edges, at the 64-object word boundaries of the masks.
+TEST(MaskDbTest, EvaluatorMatchesGraphDbKernel) {
+  std::mt19937_64 rng(61);
+  constexpr int kRelations = 2;
+  for (int n : {1, 63, 64, 65, 130}) {
+    GraphDb graph;
+    MaskDb masks(n, kRelations);
+    for (int i = 0; i < n; ++i) graph.AddNode(std::to_string(i));
+    for (int e = 0; e < 2 * n; ++e) {
+      int from = static_cast<int>(rng() % n);
+      int relation = static_cast<int>(rng() % kRelations);
+      int to = static_cast<int>(rng() % n);
+      graph.AddEdge(from, relation, to);
+      masks.AddEdge(from, relation, to);
+    }
+
+    // Random plans over three relations: symbols 4 and 5 name a relation
+    // past the masks' two, which has no edges on either side.
+    std::vector<Nfa> nfas;
+    RandomAutomatonOptions options;
+    options.num_symbols = 2 * (kRelations + 1);
+    options.transition_density = 0.5;
+    for (int states : {2, 4, 6}) {
+      options.num_states = states;
+      nfas.push_back(RandomNfa(rng, options));
+    }
+    Nfa initial_accepts = RandomNfa(rng, options);
+    for (int s : initial_accepts.InitialStates()) {
+      initial_accepts.SetAccepting(s);
+    }
+    nfas.push_back(initial_accepts);
+    Nfa no_accepting = RandomNfa(rng, options);
+    for (int s = 0; s < no_accepting.NumStates(); ++s) {
+      no_accepting.SetAccepting(s, false);
+    }
+    nfas.push_back(no_accepting);
+
+    std::vector<FlatNfa> plans;
+    int max_states = 0;
+    for (const Nfa& nfa : nfas) {
+      plans.push_back(CompileEvalPlan(nfa));
+      max_states = std::max(max_states, plans.back().NumStates());
+    }
+    MaskEvaluator evaluator(max_states, n);
+    for (size_t p = 0; p < plans.size(); ++p) {
+      for (int source = 0; source < n; ++source) {
+        Bitset expected = EvalRpqiFrom(graph, plans[p], source);
+        std::span<const uint64_t> got =
+            evaluator.Run(masks, plans[p], source);
+        ASSERT_EQ(got.size(), static_cast<size_t>(masks.words()));
+        for (int object = 0; object < masks.words() * 64; ++object) {
+          EXPECT_EQ(MaskEvaluator::Contains(got, object),
+                    object < n && expected.Test(object))
+              << "n=" << n << " plan " << p << " source " << source
+              << " object " << object;
+        }
+      }
+    }
+    // The marked plans hit their cases: the source is its own answer, and
+    // nothing is.
+    EXPECT_TRUE(MaskEvaluator::Contains(evaluator.Run(masks, plans[3], 0), 0));
+    for (uint64_t word : evaluator.Run(masks, plans[4], 0)) EXPECT_EQ(word, 0u);
   }
 }
 

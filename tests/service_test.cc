@@ -503,6 +503,47 @@ TEST(ServerTest, CdaCandidateSpaceOverflowIsInvalidRequest) {
       FindField(after, "results")->array()[0].Find("certain")->bool_value());
 }
 
+// An allocation failure inside a request fails that one request as
+// resource_exhausted instead of aborting the server for every client, and
+// the same request right after is answered.
+TEST(ServerTest, AllocationFailureIsResourceExhaustedNotAnAbort) {
+  fault::DisarmAll();
+  ServerOptions options;
+  options.breaker_failure_threshold = 2;
+  Server server(options);
+  ASSERT_TRUE(server.Init().ok());
+  auto answer_failures = [&server] {
+    Json stats = Handle(server, R"({"id":2,"op":"admin","action":"stats"})");
+    for (const Json& key :
+         FindField(*FindField(stats, "breaker"), "keys")->array()) {
+      if (key.Find("op")->string_value() == "answer") {
+        return key.Find("consecutive_failures")->int_value();
+      }
+    }
+    return int64_t{-1};
+  };
+  const std::string request =
+      R"({"id":1,"op":"answer","mode":"cda","objects":3,"query":"p p",)"
+      R"("views":[{"name":"v","expr":"p","assumption":"sound",)"
+      R"("extension":[[0,1],[1,2]]}],"pairs":[[0,2],[2,0]]})";
+  ASSERT_TRUE(fault::Configure("cda.mask_alloc=once").ok());
+  Json failed = Handle(server, request);
+  EXPECT_EQ(FindField(failed, "status")->string_value(), "error");
+  EXPECT_EQ(FindField(failed, "code")->string_value(), "resource_exhausted");
+  EXPECT_EQ(fault::FireCount("cda.mask_alloc"), 1);
+  // The breaker counts it like any other internal exhaustion.
+  EXPECT_EQ(answer_failures(), 1);
+
+  Json answered = Handle(server, request);
+  ASSERT_EQ(FindField(answered, "status")->string_value(), "ok");
+  const JsonArray& results = FindField(answered, "results")->array();
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_TRUE(results[0].Find("certain")->bool_value());
+  EXPECT_FALSE(results[1].Find("certain")->bool_value());
+  EXPECT_EQ(answer_failures(), 0);
+  fault::DisarmAll();
+}
+
 TEST(ServerTest, ReloadKeepsCacheWarmForIdenticalContent) {
   std::string path = WriteTempGraph("srv_warm.txt", "a r b\n");
   Server server(OptionsWithDb(path));

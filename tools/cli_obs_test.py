@@ -10,6 +10,7 @@ Drives the built `rpqi` binary end to end:
     (rewrite.A1 .. rewrite.R) with positive ids, well-formed parent links,
     and durations;
   * answer commands emit answer.CDA.probe / answer.ODA.probe spans;
+  * an allocation failure exits 3 with one `error:` line;
   * --metrics-out produces NDJSON counter records consistent with the run;
   * unusable --trace-out/--metrics-out paths exit 2.
 """
@@ -129,6 +130,20 @@ def main():
         mode_names = {r["name"] for r in load_ndjson(mode_trace)}
         check(f"{mode} trace has {span_name}", span_name in mode_names,
               sorted(mode_names))
+
+    # --- allocation failure -----------------------------------------------
+    # An allocation failure is exit 3 with one error line, not an abort
+    # (exit 134); the injected fault throws where the CDA solver allocates
+    # its masks.
+    oom = run(binary, "answer", "--mode", "cda", "--objects", "2",
+              "--query", "p", "--view", "v=p;sound;0,1", "--pair", "0,1",
+              "--fault", "cda.mask_alloc=once")
+    check("allocation failure exits 3", oom.returncode == 3,
+          (oom.returncode, oom.stderr))
+    error_lines = [line for line in oom.stderr.splitlines()
+                   if line.startswith("error:")]
+    check("allocation failure prints one error line",
+          len(error_lines) == 1 and oom.stdout == "", oom.stderr)
 
     # --- unusable sink paths ----------------------------------------------
     bad = os.path.join(tmp, "missing-dir", "out.ndjson")

@@ -12,6 +12,8 @@ Drives the built `rpqi` binary end to end:
     first on another worker;
   * a CDA candidate space past the int range answered as
     `invalid_request`, with the server still answering afterwards;
+  * `rpqi answer` on all pairs gives the serve `answer` op's verdicts, for
+    one CDA and one ODA instance;
   * deterministic queue-full rejection (--threads 1 --queue-depth 1
     --max-batch 1 with an `admin sleep` occupying the worker) producing
     `overloaded` responses in-band, not a process exit;
@@ -247,6 +249,43 @@ def main():
           3 in ids and ids[3][0]["status"] == "ok"
           and [r["certain"] for r in ids[3][0]["results"]] == [False],
           proc.stdout)
+
+    # --- `rpqi answer` agrees with the serve `answer` op ------------------
+    # Both hold one solver for every probe of the instance; all pairs are
+    # probed when no pair is named.
+    def cli_verdicts(mode, objects, query, view):
+        name, rest = view.split("=", 1)
+        expr, assumption, pairs = rest.split(";")
+        result = subprocess.run(
+            [binary, "answer", "--mode", mode, "--objects", str(objects),
+             "--query", query, "--view", view],
+            capture_output=True, text=True, timeout=120)
+        verdicts = {}
+        for line in result.stdout.splitlines():
+            pair, verdict = line.split(": ")
+            c, d = pair.strip("()").split(",")
+            verdicts[(int(c), int(d))] = verdict == "certain"
+        request = json.dumps({
+            "id": 1, "op": "answer", "mode": mode, "objects": objects,
+            "query": query,
+            "views": [{"name": name, "expr": expr, "assumption": assumption,
+                       "extension": [[int(x) for x in pair.split(",")]
+                                     for pair in pairs.split()]}]})
+        return result.returncode, verdicts, request
+
+    for mode, objects, query, view in (
+            ("cda", 3, "p p", "v=p;sound;0,1 1,2"),
+            ("oda", 2, "r", "v=r;exact;0,1")):
+        code, cli, request = cli_verdicts(mode, objects, query, view)
+        proc, records = serve(binary, [request])
+        served = {}
+        if records and records[0].get("status") == "ok":
+            served = {tuple(r["pair"]): r["certain"]
+                      for r in records[0]["results"]}
+        check(f"{mode} cli answer probes every pair",
+              code == 0 and len(cli) == objects * objects, cli)
+        check(f"{mode} cli verdicts equal the serve op's", cli == served,
+              f"cli {cli} serve {served}")
 
     # --- deterministic queue-full rejection ------------------------------
     # One worker, queue depth 1, one request per batch: the sleep occupies

@@ -22,7 +22,8 @@
 //      serve — per-request failures are in-band error responses, not exits)
 //   1  negative decision (does not satisfy / not contained)
 //   2  invalid input or usage, including unusable --trace-out/--metrics-out
-//   3  resource limit (state quota) exhausted
+//   3  resource limit exhausted (state quota, or memory: an allocation
+//      failure prints one `error:` line instead of aborting)
 //   4  wall-clock deadline exceeded
 //   5  execution cancelled
 
@@ -31,6 +32,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <new>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -486,19 +488,26 @@ StatusOr<int> CmdAnswer(const FlagMap& flags) {
     }
   }
 
+  // One solver for every probe, as in the serve `answer` op: CDA compiles
+  // its plans and allocates its masks once, ODA builds the view side once.
+  std::optional<CdaSolver> cda;
+  std::optional<OdaSolver> oda;
+  if (mode == "cda") {
+    CdaOptions options;
+    options.budget = run.get();
+    cda.emplace(instance, options);
+  } else {
+    OdaOptions options;
+    options.budget = run.get();
+    oda.emplace(instance, options);
+  }
   for (const auto& [c, d] : probes) {
     bool certain = false;
-    if (mode == "cda") {
-      CdaOptions options;
-      options.budget = run.get();
-      RPQI_ASSIGN_OR_RETURN(CdaResult result,
-                            CertainAnswerCda(instance, c, d, options));
+    if (cda.has_value()) {
+      RPQI_ASSIGN_OR_RETURN(CdaResult result, cda->CertainAnswer(c, d));
       certain = result.certain;
     } else {
-      OdaOptions options;
-      options.budget = run.get();
-      RPQI_ASSIGN_OR_RETURN(OdaResult result,
-                            CertainAnswerOda(instance, c, d, options));
+      RPQI_ASSIGN_OR_RETURN(OdaResult result, oda->CertainAnswer(c, d));
       certain = result.certain;
     }
     std::printf("(%d,%d): %s\n", c, d, certain ? "certain" : "not certain");
@@ -962,26 +971,33 @@ int Main(int argc, char** argv) {
     flags->erase("metrics-out");
   }
   StatusOr<int> code = Status::InvalidArgument("unknown command");
-  if (command == "eval") {
-    code = CmdEval(*flags);
-  } else if (command == "rewrite") {
-    code = CmdRewrite(*flags);
-  } else if (command == "satisfies") {
-    code = CmdSatisfies(*flags);
-  } else if (command == "contains") {
-    code = CmdContains(*flags);
-  } else if (command == "answer") {
-    code = CmdAnswer(*flags);
-  } else if (command == "validate") {
-    code = CmdValidate(*flags);
-  } else if (command == "compact") {
-    code = CmdCompact(*flags);
-  } else if (command == "serve") {
-    code = CmdServe(*flags);
-  } else if (command == "loadgen") {
-    code = CmdLoadgen(*flags);
-  } else {
-    return Usage();
+  // An allocation failure is a resource limit like the state quota: one
+  // error line and exit 3, not an abort.
+  try {
+    if (command == "eval") {
+      code = CmdEval(*flags);
+    } else if (command == "rewrite") {
+      code = CmdRewrite(*flags);
+    } else if (command == "satisfies") {
+      code = CmdSatisfies(*flags);
+    } else if (command == "contains") {
+      code = CmdContains(*flags);
+    } else if (command == "answer") {
+      code = CmdAnswer(*flags);
+    } else if (command == "validate") {
+      code = CmdValidate(*flags);
+    } else if (command == "compact") {
+      code = CmdCompact(*flags);
+    } else if (command == "serve") {
+      code = CmdServe(*flags);
+    } else if (command == "loadgen") {
+      code = CmdLoadgen(*flags);
+    } else {
+      return Usage();
+    }
+  } catch (const std::bad_alloc&) {
+    code = Status::ResourceExhausted("out of memory running '" + command +
+                                     "'");
   }
   int exit_code;
   if (code.ok()) {
