@@ -343,7 +343,9 @@ struct OdaSolver::Impl {
     StatusOr<GraphDb> witness_db =
         WordToCanonicalDb(emptiness.witness, alphabet);
     if (!witness_db.ok()) return witness_db.status();
-    if (options.verify_witness && complement_query) {
+    // Every counterexample is re-verified against the independent graphdb
+    // evaluator (defense in depth; cheap relative to the search).
+    if (complement_query) {
       RPQI_CHECK(VerifyOdaCounterexample(instance, c, d, *witness_db))
           << "A_ODA produced a witness the independent evaluator rejects";
     }

@@ -21,9 +21,6 @@ struct OdaOptions {
   /// Optional execution budget (borrowed): deadline / cancellation / state
   /// quota, enforced during both context construction and every probe.
   Budget* budget = nullptr;
-  /// Re-verify any counterexample against the independent graphdb evaluator
-  /// (defense in depth; cheap relative to the search).
-  bool verify_witness = true;
   /// Before running the product, try to materialize and Hopcroft-minimize
   /// each component automaton whose reachable translation fits this budget;
   /// components beyond it stay lazy. Minimized components shrink the product

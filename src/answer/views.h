@@ -1,6 +1,7 @@
 #ifndef RPQI_ANSWER_VIEWS_H_
 #define RPQI_ANSWER_VIEWS_H_
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -34,6 +35,12 @@ struct AnsweringInstance {
   Nfa query{0};
   int num_objects = 0;
 };
+
+/// Most (c, d) pairs a request may probe when it names none: without
+/// explicit pairs, both front ends (the serve `answer` op and `rpqi answer`)
+/// probe all N² pairs, so they refuse instances with more than 1024 objects
+/// instead of enumerating up to 2^40 probes.
+inline constexpr int64_t kMaxAllPairsProbes = int64_t{1} << 20;
 
 /// Number of Σ± symbols of the instance (from the query automaton).
 inline int SigmaSymbols(const AnsweringInstance& instance) {

@@ -1,5 +1,6 @@
 #include "automata/flat.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 
@@ -161,8 +162,8 @@ FlatNfa CompileFlat(const Nfa& input) {
                        static_cast<int32_t>(t.to)});
     }
     // Sorted + deduplicated per state: duplicate transitions are legal in an
-    // Nfa but carry no information, and sortedness is what makes EdgesFor a
-    // binary search and the serialized bytes canonical.
+    // Nfa but carry no information, and sortedness is what makes the
+    // serialized bytes canonical.
     std::sort(edges.begin() + begin, edges.end());
     edges.erase(std::unique(edges.begin() + begin, edges.end()), edges.end());
     offsets[s + 1] = static_cast<uint32_t>(edges.size());
@@ -187,6 +188,25 @@ FlatNfa CompileFlat(const Nfa& input) {
       std::move(initial_list));
   RPQI_VALIDATE_STAGE(ValidateFlatNfa(flat));
   return flat;
+}
+
+void SubsetStepAll(const FlatNfa& flat, const Bitset& subset,
+                   std::vector<Bitset>* next) {
+  RPQI_DCHECK(static_cast<int>(next->size()) == flat.num_symbols());
+  for (Bitset& successors : *next) successors.Clear();
+  for (int s = subset.NextSetBit(0); s >= 0; s = subset.NextSetBit(s + 1)) {
+    for (const FlatNfa::Edge& e : flat.Edges(s)) (*next)[e.symbol].Set(e.to);
+  }
+}
+
+bool SubsetAccepts(const FlatNfa& flat, const Bitset& subset) {
+  const std::vector<uint64_t>& words = subset.words();
+  const std::vector<uint64_t>& accepting = flat.accepting_words();
+  RPQI_DCHECK(words.size() == accepting.size());
+  for (size_t i = 0; i < words.size(); ++i) {
+    if (words[i] & accepting[i]) return true;
+  }
+  return false;
 }
 
 bool IsFlatPlan(std::string_view prefix) {

@@ -1,7 +1,6 @@
 #ifndef RPQI_AUTOMATA_FLAT_H_
 #define RPQI_AUTOMATA_FLAT_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -10,6 +9,7 @@
 #include <vector>
 
 #include "automata/nfa.h"
+#include "base/bitset.h"
 #include "base/logging.h"
 #include "base/status.h"
 
@@ -23,8 +23,9 @@ namespace rpqi {
 /// (symbol, target) pairs with a CSR-style offset table — the same layout the
 /// graph side uses (LabelCsr) — so the BFS inner loop walks two flat spans.
 /// Per-state spans are sorted by (symbol, target) and deduplicated, which
-/// makes `EdgesFor(state, symbol)` a binary search and the whole structure
-/// byte-stable for serialization.
+/// makes the whole structure byte-stable for serialization. The same form
+/// is the automata layer's one per-state symbol index: SubsetStepAll walks
+/// it for the subset constructions.
 ///
 /// Initial/accepting membership is kept as word bitsets plus an explicit
 /// sorted initial-state list (the BFS seeds from the list; the bitsets are
@@ -91,19 +92,6 @@ class FlatNfa {
             static_cast<size_t>(offsets_[state + 1] - offsets_[state])};
   }
 
-  /// The sub-span of Edges(state) carrying exactly `symbol`: binary search
-  /// over the sorted span (states have few distinct symbols, so this beats a
-  /// per-(state, symbol) offset table that would cost states × symbols).
-  std::span<const Edge> EdgesFor(int state, int symbol) const {
-    std::span<const Edge> all = Edges(state);
-    auto lo = std::lower_bound(
-        all.begin(), all.end(), symbol,
-        [](const Edge& e, int s) { return e.symbol < s; });
-    auto hi = std::upper_bound(
-        lo, all.end(), symbol, [](int s, const Edge& e) { return s < e.symbol; });
-    return {lo, hi};
-  }
-
   bool IsInitial(int state) const {
     RPQI_DCHECK(0 <= state && state < NumStates());
     return (initial_words_[state >> 6] >> (state & 63)) & 1;
@@ -157,6 +145,18 @@ class FlatNfa {
 /// then packs, sorts, and deduplicates the per-state edge lists. The result
 /// always satisfies the FlatNfa invariants.
 FlatNfa CompileFlat(const Nfa& nfa);
+
+/// One subset-construction step on every symbol at once: afterwards
+/// (*next)[a] holds the a-successors of `subset`, for each symbol a. Each
+/// member's edge span is walked once, so one subset's successors on all of
+/// Σ cost the members' out-degree (plus clearing the |Σ| bitsets) instead
+/// of one index lookup per (member, symbol). `next` is caller-owned scratch
+/// of num_symbols() bitsets over NumStates() bits.
+void SubsetStepAll(const FlatNfa& flat, const Bitset& subset,
+                   std::vector<Bitset>* next);
+
+/// True when `subset` (over NumStates() bits) contains an accepting state.
+bool SubsetAccepts(const FlatNfa& flat, const Bitset& subset);
 
 /// A serializable compiled plan: the flat automaton plus an opaque caller
 /// tag (the serving layer stores the full plan-cache key and compares it on

@@ -33,62 +33,40 @@ bool LazyDfaFromDfa::IsAccepting(int state) {
 // ---------------------------------------------------------------------------
 // LazySubsetDfa
 
-namespace {
-
-Bitset NfaInitialClosure(const Nfa& nfa) {
-  Bitset init(nfa.NumStates());
-  for (int s : nfa.InitialStates()) init.Set(s);
-  return init;  // nfa_ is ε-free here, closure is identity
-}
-
-}  // namespace
-
 LazySubsetDfa::LazySubsetDfa(const Nfa& nfa, bool complement)
-    : nfa_(RemoveEpsilon(nfa)),
+    : flat_(CompileFlat(nfa)),
       complement_(complement),
-      adjacency_(nfa_),
-      scratch_next_(nfa_.NumStates()) {}
+      successors_(flat_.num_symbols(), Bitset(flat_.NumStates())) {}
 
 int LazySubsetDfa::Intern(const Bitset& subset) {
   int id = interner_.InternHashed(subset.words(), subset.Hash());
   if (id == static_cast<int>(subsets_.size())) {
     subsets_.push_back(subset);
-    bool accepts = false;
-    for (int s = subset.NextSetBit(0); s >= 0; s = subset.NextSetBit(s + 1)) {
-      if (nfa_.IsAccepting(s)) {
-        accepts = true;
-        break;
-      }
-    }
-    accepting_.push_back(accepts);
+    accepting_.push_back(SubsetAccepts(flat_, subset));
   }
   return id;
 }
 
-int LazySubsetDfa::StartState() { return Intern(NfaInitialClosure(nfa_)); }
+int LazySubsetDfa::StartState() {
+  Bitset start(flat_.NumStates());
+  for (int s : flat_.InitialStates()) start.Set(s);
+  return Intern(start);
+}
 
 int LazySubsetDfa::Step(int state, int symbol) {
   RPQI_CHECK(0 <= state && state < static_cast<int>(subsets_.size()));
-  size_t index = static_cast<size_t>(state) * nfa_.num_symbols() + symbol;
-  if (index >= step_cache_.size()) {
-    step_cache_.resize(subsets_.size() * nfa_.num_symbols(), -1);
+  const int num_symbols = flat_.num_symbols();
+  const size_t row = static_cast<size_t>(state) * num_symbols;
+  if (row >= step_cache_.size()) {
+    step_cache_.resize(subsets_.size() * num_symbols, -1);
   }
-  int& cached = step_cache_[index];
-  if (cached < 0) cached = ComputeStep(state, symbol);
-  return cached;
-}
-
-int LazySubsetDfa::ComputeStep(int state, int symbol) {
-  scratch_next_.Clear();
-  const Bitset& current = subsets_[state];
-  for (int s = current.NextSetBit(0); s >= 0; s = current.NextSetBit(s + 1)) {
-    for (const int32_t* t = adjacency_.begin(s, symbol),
-                      * end = adjacency_.end(s, symbol);
-         t != end; ++t) {
-      scratch_next_.Set(*t);
+  if (step_cache_[row + symbol] < 0) {
+    SubsetStepAll(flat_, subsets_[state], &successors_);
+    for (int a = 0; a < num_symbols; ++a) {
+      step_cache_[row + a] = Intern(successors_[a]);
     }
   }
-  return Intern(scratch_next_);
+  return step_cache_[row + symbol];
 }
 
 bool LazySubsetDfa::IsAccepting(int state) {

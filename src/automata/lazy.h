@@ -6,8 +6,8 @@
 #include <optional>
 #include <vector>
 
-#include "automata/adjacency.h"
 #include "automata/dfa.h"
+#include "automata/flat.h"
 #include "automata/nfa.h"
 #include "base/bitset.h"
 #include "base/budget.h"
@@ -90,12 +90,15 @@ class LazyDfaFromDfa : public LazyDfa {
 };
 
 /// On-the-fly subset construction of an NFA. `complement` flips acceptance,
-/// yielding the lazily determinized complement.
+/// yielding the lazily determinized complement. The first Step out of a
+/// state computes that state's successors on every symbol (SubsetStepAll)
+/// and interns them in symbol order, so a breadth-first caller discovers
+/// states in the same order as DeterminizeWithLimit.
 class LazySubsetDfa : public LazyDfa {
  public:
   explicit LazySubsetDfa(const Nfa& nfa, bool complement = false);
 
-  int NumSymbols() const override { return nfa_.num_symbols(); }
+  int NumSymbols() const override { return flat_.num_symbols(); }
   int StartState() override;
   int Step(int state, int symbol) override;
   bool IsAccepting(int state) override;
@@ -111,16 +114,14 @@ class LazySubsetDfa : public LazyDfa {
 
  private:
   int Intern(const Bitset& subset);
-  int ComputeStep(int state, int symbol);
 
-  Nfa nfa_;  // ε-free copy
+  FlatNfa flat_;
   bool complement_;
-  SymbolAdjacency adjacency_;
   WordVectorInterner interner_;
   std::vector<Bitset> subsets_;
   std::vector<bool> accepting_;
-  std::vector<int> step_cache_;  // state·|Σ| + symbol -> id, -1 = unknown
-  Bitset scratch_next_;          // reused across ComputeStep calls
+  std::vector<int> step_cache_;  // state·|Σ| + symbol -> id, -1 = row unfilled
+  std::vector<Bitset> successors_;  // SubsetStepAll scratch, one per symbol
 };
 
 /// Conjunctive product of lazy automata: accepts iff every part accepts.

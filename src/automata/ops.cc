@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <deque>
+#include <limits>
 #include <queue>
 #include <unordered_map>
 
 #include "analysis/validate.h"
-#include "automata/adjacency.h"
+#include "automata/flat.h"
+#include "automata/lazy.h"
 #include "base/bitset.h"
 #include "base/hash.h"
 #include "base/interner.h"
@@ -55,20 +57,6 @@ Bitset SubsetStep(const Nfa& nfa, const Bitset& states, int symbol) {
   }
   if (!nfa.HasEpsilonTransitions()) return next;
   return EpsilonClosure(nfa, next);
-}
-
-/// Subset step of an ε-free NFA through its per-symbol CSR index, written
-/// into a caller-owned scratch bitset (no allocation on the hot path).
-void SubsetStepInto(const SymbolAdjacency& adjacency, const Bitset& states,
-                    int symbol, Bitset* next) {
-  next->Clear();
-  for (int s = states.NextSetBit(0); s >= 0; s = states.NextSetBit(s + 1)) {
-    for (const int32_t* t = adjacency.begin(s, symbol),
-                      * end = adjacency.end(s, symbol);
-         t != end; ++t) {
-      next->Set(*t);
-    }
-  }
 }
 
 bool SubsetAccepts(const Nfa& nfa, const Bitset& states) {
@@ -181,26 +169,29 @@ StatusOr<Dfa> DeterminizeWithLimit(const Nfa& input, int64_t max_states,
   static const obs::Counter runs_counter("determinize.runs");
   static const obs::Counter states_counter("determinize.states");
   obs::Span span("automata.determinize");
-  const Nfa nfa = RemoveEpsilon(input);
-  const int num_symbols = nfa.num_symbols();
-  const SymbolAdjacency adjacency(nfa);
+  const FlatNfa flat = CompileFlat(input);
+  const int num_symbols = flat.num_symbols();
   WordVectorInterner interner;
   std::vector<Bitset> subset_of;   // interned id -> subset
   std::vector<bool> accepting;
 
-  Bitset start = InitialClosure(nfa);
+  Bitset start(flat.NumStates());
+  for (int s : flat.InitialStates()) start.Set(s);
   int start_id = interner.InternHashed(start.words(), start.Hash());
   subset_of.push_back(start);
-  accepting.push_back(SubsetAccepts(nfa, start));
+  accepting.push_back(SubsetAccepts(flat, start));
 
   std::vector<std::vector<int>> next_rows;
-  Bitset scratch(nfa.NumStates());
+  std::vector<Bitset> successors(num_symbols, Bitset(flat.NumStates()));
   for (int id = 0; id < interner.size(); ++id) {
     RPQI_RETURN_IF_ERROR(BudgetCheck(budget));
     next_rows.emplace_back(num_symbols, -1);
+    SubsetStepAll(flat, subset_of[id], &successors);
+    // Interned in symbol order, so state ids follow the per-symbol order of
+    // a breadth-first subset construction.
     for (int a = 0; a < num_symbols; ++a) {
-      SubsetStepInto(adjacency, subset_of[id], a, &scratch);
-      int next_id = interner.InternHashed(scratch.words(), scratch.Hash());
+      const Bitset& next = successors[a];
+      int next_id = interner.InternHashed(next.words(), next.Hash());
       if (next_id == static_cast<int>(subset_of.size())) {
         if (interner.size() > max_states) {
           return Status::ResourceExhausted("subset construction exceeded " +
@@ -214,8 +205,8 @@ StatusOr<Dfa> DeterminizeWithLimit(const Nfa& input, int64_t max_states,
                              "injected state-allocation failure in subset "
                              "construction"));
         RPQI_RETURN_IF_ERROR(BudgetCharge(budget, 1));
-        subset_of.push_back(scratch);
-        accepting.push_back(SubsetAccepts(nfa, scratch));
+        subset_of.push_back(next);
+        accepting.push_back(SubsetAccepts(flat, next));
       }
       next_rows[id][a] = next_id;
     }
@@ -224,11 +215,11 @@ StatusOr<Dfa> DeterminizeWithLimit(const Nfa& input, int64_t max_states,
   runs_counter.Increment();
   states_counter.Add(interner.size());
   span.Note("states", interner.size());
-  Dfa dfa(nfa.num_symbols(), interner.size());
+  Dfa dfa(num_symbols, interner.size());
   dfa.SetInitial(start_id);
   for (int id = 0; id < interner.size(); ++id) {
     dfa.SetAccepting(id, accepting[id]);
-    for (int a = 0; a < nfa.num_symbols(); ++a) {
+    for (int a = 0; a < num_symbols; ++a) {
       dfa.SetNext(id, a, next_rows[id][a]);
     }
   }
@@ -446,80 +437,18 @@ std::optional<std::vector<int>> ShortestAcceptedWord(const Nfa& nfa) {
   return word;
 }
 
-StatusOr<bool> IsContainedWithBudget(const Nfa& a_input, const Nfa& b_input,
-                                     Budget* budget) {
-  // L(a) ⊆ L(b) iff L(a) ∩ complement(L(b)) = ∅. Run the product of `a`
-  // with the lazily determinized complement of `b` without materializing it.
-  const Nfa a = RemoveEpsilon(Trim(a_input));
-  const Nfa b = RemoveEpsilon(b_input);
-  RPQI_CHECK_EQ(a.num_symbols(), b.num_symbols());
-
-  const SymbolAdjacency b_adjacency(b);
-  WordVectorInterner subset_interner;
-  std::vector<Bitset> subsets;
-  auto intern_subset = [&](const Bitset& subset) {
-    int id = subset_interner.InternHashed(subset.words(), subset.Hash());
-    if (id == static_cast<int>(subsets.size())) subsets.push_back(subset);
-    return id;
-  };
-
-  int start_subset = intern_subset(InitialClosure(b));
-  // Product state: (a state, interned b-subset id). For a fixed a-state the
-  // product language is antitone in the b-subset (a smaller subset rejects
-  // more words of L(b), so the complement side accepts more), so we keep only
-  // the ⊆-minimal discovered b-subsets per a-state and drop dominated
-  // arrivals. Members are only ever evicted by strict subsets, so domination
-  // is preserved transitively and each (a state, subset) pair is enqueued at
-  // most once — the antichain replaces the visited set outright.
-  std::unordered_map<int, std::vector<int>> minimal;
-  std::vector<std::pair<int, int>> stack;
-  auto visit = [&](int sa, int subset_id) {
-    std::vector<int>& chain = minimal[sa];
-    const Bitset& subset = subsets[subset_id];
-    for (int member : chain) {
-      if (subsets[member].IsSubsetOf(subset)) return;  // dominated
-    }
-    chain.erase(std::remove_if(chain.begin(), chain.end(),
-                               [&](int member) {
-                                 return subset.IsSubsetOf(subsets[member]);
-                               }),
-                chain.end());
-    chain.push_back(subset_id);
-    stack.push_back({sa, subset_id});
-  };
-  for (int sa : a.InitialStates()) visit(sa, start_subset);
-
-  // Cache of subset transitions to avoid recomputing the subset step.
-  Bitset scratch(b.NumStates());
-  std::unordered_map<uint64_t, int> subset_next;
-  auto subset_step_cached = [&](int subset_id, int symbol) {
-    uint64_t key = PairKey(subset_id, symbol);
-    auto it = subset_next.find(key);
-    if (it != subset_next.end()) return it->second;
-    SubsetStepInto(b_adjacency, subsets[subset_id], symbol, &scratch);
-    int next_id = intern_subset(scratch);
-    subset_next.emplace(key, next_id);
-    return next_id;
-  };
-
-  while (!stack.empty()) {
-    RPQI_RETURN_IF_ERROR(BudgetCharge(budget, 1));
-    auto [sa, subset_id] = stack.back();
-    stack.pop_back();
-    if (a.IsAccepting(sa) && !SubsetAccepts(b, subsets[subset_id])) {
-      return false;  // found a word in L(a) \ L(b)
-    }
-    for (const Nfa::Transition& t : a.TransitionsFrom(sa)) {
-      visit(t.to, subset_step_cached(subset_id, t.symbol));
-    }
-  }
-  return true;
-}
-
 bool IsContained(const Nfa& a, const Nfa& b) {
-  StatusOr<bool> result = IsContainedWithBudget(a, b, /*budget=*/nullptr);
-  RPQI_CHECK(result.ok()) << result.status().ToString();
-  return result.value();
+  // L(a) ⊆ L(b) iff L(a) ∩ complement(L(b)) = ∅: the product of `a` with the
+  // lazily determinized complement of `b`. The search keeps, per a-state,
+  // the ⊆-minimal b-subsets (a complemented subset automaton's antichain),
+  // so the subset DFA of `b` is never materialized.
+  RPQI_CHECK_EQ(a.num_symbols(), b.num_symbols());
+  LazySubsetDfa not_b(b, /*complement=*/true);
+  EmptinessResult result = FindAcceptedWordWithNfa(
+      Trim(a), {&not_b}, std::numeric_limits<int64_t>::max());
+  RPQI_CHECK(result.outcome != EmptinessResult::Outcome::kLimitExceeded)
+      << result.status.ToString();
+  return result.outcome == EmptinessResult::Outcome::kEmpty;
 }
 
 bool AreEquivalent(const Nfa& a, const Nfa& b) {

@@ -63,11 +63,6 @@ std::optional<std::vector<int>> ShortestAcceptedWord(const Nfa& nfa);
 /// ⊆-minimal b-subsets; never materializes the full subset DFA.
 bool IsContained(const Nfa& a, const Nfa& b);
 
-/// Budgeted containment: like IsContained but every discovered product state
-/// is charged against `budget`, and deadline/cancellation are honored.
-StatusOr<bool> IsContainedWithBudget(const Nfa& a, const Nfa& b,
-                                     Budget* budget);
-
 /// True if L(a) = L(b).
 bool AreEquivalent(const Nfa& a, const Nfa& b);
 

@@ -93,8 +93,7 @@ StatusOr<MaximalRewriting> ComputeBaselineRpqRewriting(
 
   StatusOr<Dfa> a4_dfa = DeterminizeWithLimit(a4, options.max_subset_states);
   if (!a4_dfa.ok()) return a4_dfa.status();
-  Dfa rewriting_forward = ComplementDfa(*a4_dfa);
-  if (options.minimize_result) rewriting_forward = Minimize(rewriting_forward);
+  Dfa rewriting_forward = Minimize(ComplementDfa(*a4_dfa));
 
   // Re-host on Σ_E± (2k symbols) with inverse view symbols leading to a sink,
   // so the result type matches the RPQI rewriter's.

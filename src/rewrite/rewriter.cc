@@ -177,8 +177,7 @@ StatusOr<MaximalRewriting> ComputeExactRewriting(
       DeterminizeWithLimit(a4, options.max_subset_states, options.budget);
   if (!a4_dfa.ok()) return a4_dfa.status();
   RPQI_RETURN_IF_ERROR(BudgetCheck(options.budget));
-  Dfa rewriting = ComplementDfa(*a4_dfa);
-  if (options.minimize_result) rewriting = Minimize(rewriting);
+  Dfa rewriting = Minimize(ComplementDfa(*a4_dfa));
   stats->rewriting_states = rewriting.NumStates();
   r_span.Note("states", rewriting.NumStates());
   {

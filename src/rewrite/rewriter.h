@@ -39,7 +39,6 @@ struct RewritingAlphabet {
 struct RewritingOptions {
   int64_t max_product_states = int64_t{1} << 20;
   int64_t max_subset_states = int64_t{1} << 20;
-  bool minimize_result = true;
   /// Optional execution budget (borrowed, may be null). Shared by all stages:
   /// deadline/cancellation are checked in every exponential loop and
   /// discovered states are charged against its quota.

@@ -347,12 +347,11 @@ struct Server::Request {
 };
 
 /// Amortization state shared by the requests of one batch: each snapshot
-/// store is pinned at most once and each plan-cache key resolves at most
-/// once, however many requests in the batch touch them.
+/// store is pinned at most once, however many requests in the batch touch
+/// it, so the whole batch sees one graph version per store.
 struct Server::BatchContext {
   std::map<const SnapshotStore*, std::shared_ptr<const GraphSnapshot>>
       snapshots;
-  std::map<std::string, std::shared_ptr<const CachedPlan>> plans;
 };
 
 struct Server::ParsedBatch {
@@ -380,7 +379,7 @@ CircuitBreaker::Options BreakerOptions(const ServerOptions& options) {
 
 Server::Server(const ServerOptions& options)
     : options_(options),
-      plan_cache_(options.plan_cache_bytes, options.plan_cache_shards),
+      plan_cache_(options.plan_cache_bytes),
       plan_disk_(options.plan_cache_dir),
       breaker_(BreakerOptions(options)) {}
 
@@ -554,7 +553,7 @@ std::string Server::ExecuteToResponse(const Request& request,
           fields = OpEval(request, &budget, &cache_source, ctx);
         } else if (request.op == "rewrite") {
           cacheable_op = true;
-          fields = OpRewrite(request, &budget, &cache_source, ctx);
+          fields = OpRewrite(request, &budget, &cache_source);
         } else if (request.op == "answer") {
           fields = OpAnswer(request, &budget);
         } else if (request.op == "admin") {
@@ -625,7 +624,6 @@ StatusOr<JsonObject> Server::OpEval(const Request& request, Budget* budget,
                                     const char** cache_source,
                                     BatchContext* ctx) {
   static const obs::Counter pins_saved("service.batch.snapshot_pins_saved");
-  static const obs::Counter lookups_saved("service.batch.plan_lookups_saved");
   SnapshotStore& store = StoreFor(request);
   // Within a batch the snapshot is pinned once per store; every further
   // request reuses the pin (and is thereby guaranteed to see the same graph
@@ -658,48 +656,33 @@ StatusOr<JsonObject> Server::OpEval(const Request& request, Budget* budget,
   std::string key = "eval|" + FingerprintHex(snapshot->fingerprint) + "|" +
                     RegexToString(expr);
 
-  std::shared_ptr<const CachedPlan> plan;
-  if (ctx != nullptr) {
-    auto resolved = ctx->plans.find(key);
-    if (resolved != ctx->plans.end() &&
-        resolved->second->eval_answers.has_value()) {
-      // Batch-context hit: an earlier request in this batch already resolved
-      // the key, so the sharded cache lookup is skipped entirely.
-      plan = resolved->second;
-      *cache_source = "hit";
-      lookups_saved.Increment();
-    }
-  }
-  if (plan == nullptr) {
-    plan = plan_cache_.Get(key);
-    std::shared_ptr<CachedPlan> loaded;
-    if (plan != nullptr && plan->eval_answers.has_value()) {
-      *cache_source = "hit";
-    } else if ((loaded = plan_disk_.Load(key, snapshot->db.NumNodes())) !=
-               nullptr) {
-      // Persistent store hit (typically the first repeated query after a
-      // restart): render it once, then promote it into the in-memory cache
-      // so the next request is a plain "hit".
-      *cache_source = "disk";
-      RenderAnswers(snapshot->db, loaded.get());
-      plan_cache_.Put(key, loaded);
-      plan = std::move(loaded);
-    } else {
-      SignedAlphabet alphabet = snapshot->alphabet;
-      RegisterRelations({expr}, &alphabet);
-      RPQI_ASSIGN_OR_RETURN(Nfa query, CompileRegex(expr, alphabet));
-      FlatNfa compiled = CompileEvalPlan(query);
-      RPQI_ASSIGN_OR_RETURN(auto pairs, EvalRpqiAllPairsWithBudget(
-                                            snapshot->db, compiled, budget));
-      auto fresh = std::make_shared<CachedPlan>();
-      fresh->flat_plan = std::move(compiled);
-      fresh->eval_answers = std::move(pairs);
-      RenderAnswers(snapshot->db, fresh.get());
-      plan_cache_.Put(key, fresh);
-      plan_disk_.Save(key, *fresh);
-      plan = std::move(fresh);
-    }
-    if (ctx != nullptr) ctx->plans[key] = plan;
+  std::shared_ptr<const CachedPlan> plan = plan_cache_.Get(key);
+  std::shared_ptr<CachedPlan> loaded;
+  if (plan != nullptr && plan->eval_answers.has_value()) {
+    *cache_source = "hit";
+  } else if ((loaded = plan_disk_.Load(key, snapshot->db.NumNodes())) !=
+             nullptr) {
+    // Persistent store hit (typically the first repeated query after a
+    // restart): render it once, then promote it into the in-memory cache so
+    // the next request is a plain "hit".
+    *cache_source = "disk";
+    RenderAnswers(snapshot->db, loaded.get());
+    plan_cache_.Put(key, loaded);
+    plan = std::move(loaded);
+  } else {
+    SignedAlphabet alphabet = snapshot->alphabet;
+    RegisterRelations({expr}, &alphabet);
+    RPQI_ASSIGN_OR_RETURN(Nfa query, CompileRegex(expr, alphabet));
+    FlatNfa compiled = CompileEvalPlan(query);
+    RPQI_ASSIGN_OR_RETURN(auto pairs, EvalRpqiAllPairsWithBudget(
+                                          snapshot->db, compiled, budget));
+    auto fresh = std::make_shared<CachedPlan>();
+    fresh->flat_plan = std::move(compiled);
+    fresh->eval_answers = std::move(pairs);
+    RenderAnswers(snapshot->db, fresh.get());
+    plan_cache_.Put(key, fresh);
+    plan_disk_.Save(key, *fresh);
+    plan = std::move(fresh);
   }
 
   JsonObject fields;
@@ -709,9 +692,7 @@ StatusOr<JsonObject> Server::OpEval(const Request& request, Budget* budget,
 }
 
 StatusOr<JsonObject> Server::OpRewrite(const Request& request, Budget* budget,
-                                       const char** cache_source,
-                                       BatchContext* ctx) {
-  static const obs::Counter lookups_saved("service.batch.plan_lookups_saved");
+                                       const char** cache_source) {
   RPQI_ASSIGN_OR_RETURN(std::string query_text,
                         RequireString(request.body, "query"));
   RPQI_ASSIGN_OR_RETURN(RegexPtr query_expr, ParseExpr(query_text));
@@ -731,28 +712,10 @@ StatusOr<JsonObject> Server::OpRewrite(const Request& request, Budget* budget,
     key += "|" + views.names[i] + "=" + RegexToString(views.exprs[i]);
   }
 
-  std::shared_ptr<const CachedPlan> plan;
-  if (ctx != nullptr) {
-    auto resolved = ctx->plans.find(key);
-    if (resolved != ctx->plans.end() &&
-        resolved->second->rewriting.has_value()) {
-      // Batch-context hit: an earlier request in this batch already resolved
-      // the key, so the sharded cache lookup is skipped entirely.
-      plan = resolved->second;
-      *cache_source = "hit";
-      lookups_saved.Increment();
-    }
-  }
-  if (plan == nullptr) {
-    plan = plan_cache_.Get(key);
-    if (plan != nullptr && plan->rewriting.has_value()) {
-      *cache_source = "hit";
-      if (ctx != nullptr) ctx->plans[key] = plan;
-    } else {
-      plan = nullptr;
-    }
-  }
-  if (plan == nullptr) {
+  std::shared_ptr<const CachedPlan> plan = plan_cache_.Get(key);
+  if (plan != nullptr && plan->rewriting.has_value()) {
+    *cache_source = "hit";
+  } else {
     SignedAlphabet alphabet;
     RegisterRelations({query_expr}, &alphabet);
     RegisterRelations(views.exprs, &alphabet);
@@ -780,12 +743,8 @@ StatusOr<JsonObject> Server::OpRewrite(const Request& request, Budget* budget,
     RenderRewriting(fresh.get());
     // Only exhaustive results are cached: a degraded partial rewriting
     // reflects this request's budget, not the query, and must not be served
-    // to better-funded callers (the same rule applies to the batch context —
-    // batch peers may carry different budgets).
-    if (exhaustive) {
-      plan_cache_.Put(key, fresh);
-      if (ctx != nullptr) ctx->plans[key] = fresh;
-    }
+    // to better-funded callers.
+    if (exhaustive) plan_cache_.Put(key, fresh);
     plan = std::move(fresh);
   }
 
@@ -891,7 +850,7 @@ StatusOr<JsonObject> Server::OpAnswer(const Request& request, Budget* budget) {
       probes.push_back(parsed);
     }
   } else {
-    if (static_cast<int64_t>(num_objects) * num_objects > (1 << 20)) {
+    if (static_cast<int64_t>(num_objects) * num_objects > kMaxAllPairsProbes) {
       return Status::InvalidArgument(
           "all-pairs probing above 2^20 pairs needs an explicit 'pairs' "
           "array");

@@ -43,7 +43,6 @@ struct ServerOptions {
   AdmissionPolicy admission;
   /// Plan-cache capacity; <= 0 disables caching.
   int64_t plan_cache_bytes = int64_t{64} << 20;
-  int plan_cache_shards = 8;
   /// Directory for the persistent plan cache (--plan-cache-dir): compiled
   /// eval plans are serialized here so a restarted server serves its first
   /// repeated query at warm-cache latency. Empty disables persistence. The
@@ -136,11 +135,12 @@ class Server {
 
   /// Executes every request in the batch on the calling thread and returns
   /// one response line per input line, in input order. Requests in one batch
-  /// share a BatchContext: the snapshot is pinned once per store and
-  /// plan-cache lookups resolve once per distinct key
-  /// (`service.batch.snapshot_pins_saved` / `service.batch.plan_lookups_saved`
-  /// count the amortization; `service.batch.size` is the batch-size
-  /// histogram). Namespace-quota tickets are released on return.
+  /// share a BatchContext: the snapshot is pinned once per store, so the
+  /// batch sees one graph version per store
+  /// (`service.batch.snapshot_pins_saved` counts the reused pins;
+  /// `service.batch.size` is the batch-size histogram). Plans resolve through
+  /// the sharded plan cache per request. Namespace-quota tickets are released
+  /// on return.
   std::vector<std::string> ExecuteBatch(ParsedBatch* batch);
 
   /// Rejection responses for a batch the transport could not enqueue (pool
@@ -157,7 +157,7 @@ class Server {
  private:
   struct Request;
   struct Namespace;
-  /// Per-batch amortization state: pinned snapshots + resolved plans.
+  /// Per-batch amortization state: pinned snapshots.
   struct BatchContext;
 
   enum class ParseOutcome {
@@ -178,12 +178,12 @@ class Server {
                                 BatchContext* ctx = nullptr);
 
   /// `*cache_source` reports where the plan came from: "miss" (compiled
-  /// fresh), "hit" (in-memory cache or batch context), or "disk" (persistent
-  /// store; eval only). Echoed as the response's `cache` field.
+  /// fresh), "hit" (in-memory cache), or "disk" (persistent store; eval
+  /// only). Echoed as the response's `cache` field.
   StatusOr<JsonObject> OpEval(const Request& request, Budget* budget,
                               const char** cache_source, BatchContext* ctx);
   StatusOr<JsonObject> OpRewrite(const Request& request, Budget* budget,
-                                 const char** cache_source, BatchContext* ctx);
+                                 const char** cache_source);
   StatusOr<JsonObject> OpAnswer(const Request& request, Budget* budget);
   StatusOr<JsonObject> OpAdmin(const Request& request);
 

@@ -276,7 +276,7 @@ TEST(OdaTest, CounterexamplesVerifyIndependently) {
     if (!result->certain) {
       ++not_certain_seen;
       ASSERT_TRUE(result->counterexample.has_value());
-      // CertainAnswerOda already verifies internally (verify_witness=true);
+      // CertainAnswerOda already verifies every counterexample internally;
       // re-verify here explicitly against the normalized instance.
       EXPECT_TRUE(
           VerifyOdaCounterexample(instance, 0, 1, *result->counterexample));

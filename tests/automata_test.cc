@@ -192,6 +192,60 @@ TEST(LazySubsetDfaTest, MatchesEagerDeterminization) {
   }
 }
 
+/// Random NFA with ε-transitions and repeated transitions, which RandomNfa
+/// never draws. With no symbols every transition is an ε-transition.
+Nfa RandomNfaWithEpsilons(std::mt19937_64& rng, int num_states,
+                          int num_symbols) {
+  Nfa nfa(num_symbols);
+  for (int s = 0; s < num_states; ++s) nfa.AddState();
+  nfa.SetInitial(0);
+  nfa.SetInitial(static_cast<int>(rng() % num_states));
+  for (int s = 0; s < num_states; ++s) {
+    if (rng() % 3 == 0) nfa.SetAccepting(s);
+    for (int i = static_cast<int>(rng() % 4); i > 0; --i) {
+      int symbol = num_symbols == 0 || rng() % 4 == 0
+                       ? kEpsilon
+                       : static_cast<int>(rng() % num_symbols);
+      int to = static_cast<int>(rng() % num_states);
+      nfa.AddTransition(s, symbol, to);
+      if (rng() % 4 == 0) nfa.AddTransition(s, symbol, to);
+    }
+  }
+  return nfa;
+}
+
+// The eager and the lazy subset construction intern successors in the same
+// order — breadth-first, symbol by symbol — so they build the same DFA state
+// for state, and a breadth-first walk of LazySubsetDfa sees the same ids.
+// Every state id downstream depends on that order, so a subset step that
+// changes it fails here.
+TEST(LazySubsetDfaTest, BuildsTheSameDfaAsDeterminizeStateForState) {
+  std::mt19937_64 rng(18);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int num_symbols = trial % 5;
+    Nfa nfa = RandomNfaWithEpsilons(rng, 1 + trial % 8, num_symbols);
+    StatusOr<Dfa> eager = DeterminizeWithLimit(nfa, 1 << 16);
+    LazySubsetDfa lazy(nfa);
+    StatusOr<Dfa> materialized = MaterializeLazyDfa(&lazy, 1 << 16);
+    ASSERT_TRUE(eager.ok() && materialized.ok()) << "trial " << trial;
+    ASSERT_EQ(eager->NumStates(), materialized->NumStates())
+        << "trial " << trial;
+    EXPECT_EQ(lazy.NumDiscoveredStates(), eager->NumStates());
+    EXPECT_EQ(eager->initial(), materialized->initial());
+    EXPECT_EQ(lazy.StartState(), eager->initial());
+    for (int q = 0; q < eager->NumStates(); ++q) {
+      EXPECT_EQ(eager->IsAccepting(q), materialized->IsAccepting(q))
+          << "trial " << trial << " state " << q;
+      EXPECT_EQ(eager->IsAccepting(q), lazy.IsAccepting(q));
+      for (int a = 0; a < num_symbols; ++a) {
+        EXPECT_EQ(eager->Next(q, a), materialized->Next(q, a))
+            << "trial " << trial << " state " << q << " symbol " << a;
+        EXPECT_EQ(eager->Next(q, a), lazy.Step(q, a));
+      }
+    }
+  }
+}
+
 TEST(LazyProductDfaTest, ConjunctionOfParts) {
   Nfa lhs = FromRegex("a (a | b)*");
   Nfa rhs = FromRegex("(a | b)* b");

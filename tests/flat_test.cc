@@ -106,12 +106,12 @@ TEST(FlatNfaTest, CompileSortsDeduplicatesAndIndexes) {
   EXPECT_TRUE(std::is_sorted(flat.Edges(a).begin(), flat.Edges(a).end()));
   EXPECT_EQ(flat.Edges(c).size(), 0u);
 
-  // EdgesFor: exact per-symbol sub-spans via binary search.
-  ASSERT_EQ(flat.EdgesFor(a, 2).size(), 2u);
-  EXPECT_EQ(flat.EdgesFor(a, 2)[0].to, b);
-  EXPECT_EQ(flat.EdgesFor(a, 2)[1].to, c);
-  EXPECT_EQ(flat.EdgesFor(a, 1).size(), 0u);
-  EXPECT_EQ(flat.EdgesFor(b, 1).size(), 1u);
+  // Spans are ordered by (symbol, target).
+  EXPECT_EQ(flat.Edges(a)[0], (FlatNfa::Edge{0, b}));
+  EXPECT_EQ(flat.Edges(a)[1], (FlatNfa::Edge{2, b}));
+  EXPECT_EQ(flat.Edges(a)[2], (FlatNfa::Edge{2, c}));
+  ASSERT_EQ(flat.Edges(b).size(), 1u);
+  EXPECT_EQ(flat.Edges(b)[0], (FlatNfa::Edge{1, c}));
 
   ASSERT_EQ(flat.InitialStates().size(), 1u);
   EXPECT_EQ(flat.InitialStates()[0], a);
@@ -135,10 +135,43 @@ TEST(FlatNfaTest, CompilePreAppliesEpsilonClosure) {
     for (const FlatNfa::Edge& e : flat.Edges(s)) EXPECT_GE(e.symbol, 0);
   }
   bool a_reaches_c_on_1 = false;
-  for (const FlatNfa::Edge& e : flat.EdgesFor(0, 1)) {
-    if (flat.IsAccepting(e.to)) a_reaches_c_on_1 = true;
+  for (const FlatNfa::Edge& e : flat.Edges(0)) {
+    if (e.symbol == 1 && flat.IsAccepting(e.to)) a_reaches_c_on_1 = true;
   }
   EXPECT_TRUE(a_reaches_c_on_1);
+}
+
+TEST(FlatNfaTest, SubsetStepAllMatchesAPerSymbolScan) {
+  std::mt19937_64 rng(7);
+  RandomAutomatonOptions options;
+  options.num_states = 9;
+  options.num_symbols = 4;
+  options.transition_density = 1.5;
+  for (int trial = 0; trial < 50; ++trial) {
+    Nfa nfa = RandomNfa(rng, options);
+    FlatNfa flat = CompileFlat(nfa);
+    Bitset subset(nfa.NumStates());
+    for (int s = 0; s < nfa.NumStates(); ++s) {
+      if (rng() % 2) subset.Set(s);
+    }
+    std::vector<Bitset> next(flat.num_symbols(), Bitset(flat.NumStates()));
+    next[0].Set(0);  // stale scratch must be cleared
+    SubsetStepAll(flat, subset, &next);
+    for (int a = 0; a < nfa.num_symbols(); ++a) {
+      Bitset expected(nfa.NumStates());
+      for (int s = subset.NextSetBit(0); s >= 0; s = subset.NextSetBit(s + 1)) {
+        for (const Nfa::Transition& t : nfa.TransitionsFrom(s)) {
+          if (t.symbol == a) expected.Set(t.to);
+        }
+      }
+      EXPECT_EQ(next[a], expected) << "trial " << trial << " symbol " << a;
+    }
+    bool accepts = false;
+    for (int s = subset.NextSetBit(0); s >= 0; s = subset.NextSetBit(s + 1)) {
+      accepts = accepts || nfa.IsAccepting(s);
+    }
+    EXPECT_EQ(SubsetAccepts(flat, subset), accepts);
+  }
 }
 
 TEST(FlatNfaTest, EmptyAutomatonCompiles) {

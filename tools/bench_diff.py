@@ -21,9 +21,12 @@ Counters — every numeric entry key except the timing bookkeeping
 an algorithmic change, not noise. A counter present in only one of the two
 runs of a benchmark is reported as added/removed: a counter that falls to
 zero drops out of the entry, and one that appears is new work. With
---counters fail the script exits 1 on any counter drift and on any added or
-removed counter, which CI uses as a hard gate; the default (warn) only
-reports them.
+--counters fail the script exits 1 on any counter drift, on any added or
+removed counter, and on any benchmark row the baseline has but the new run
+lacks, which CI uses as a hard gate; the default (warn) only reports them.
+A missing row is how a failing benchmark shows up: the bench binaries drop
+a run that calls SkipWithError and still exit 0. Rows only in the new run
+are listed, never gated.
 """
 
 import argparse
@@ -78,8 +81,9 @@ def main():
                              "(default: warn only)")
     parser.add_argument("--counters", choices=("warn", "fail"),
                         default="warn",
-                        help="fail: exit 1 on any counter drift or "
-                             "added/removed counter; warn (default): "
+                        help="fail: exit 1 on any counter drift, "
+                             "added/removed counter or benchmark row "
+                             "missing from the new run; warn (default): "
                              "report only")
     args = parser.parse_args()
 
@@ -146,6 +150,10 @@ def main():
         failed = True
     if counter_changes and args.counters == "fail":
         print("\ncounter set change with --counters fail: failing")
+        failed = True
+    if only_old and args.counters == "fail":
+        print("\nbenchmark rows missing from the new run with --counters "
+              "fail: failing")
         failed = True
     return 1 if failed else 0
 

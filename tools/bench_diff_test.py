@@ -6,8 +6,9 @@ Usage: bench_diff_test.py PATH_TO_BENCH_DIFF
 Exercises the hardening this tool grew alongside the observability layer:
   * zero / near-zero baseline medians are skipped (no ZeroDivisionError);
   * counters present in only one run report as added/removed, never crash;
-  * counter drift and added/removed counters exit 1 under --counters fail,
-    0 under the warn default;
+  * counter drift, added/removed counters and benchmark rows missing from
+    the new run exit 1 under --counters fail, 0 under the warn default;
+    rows only in the new run are listed, never gated;
   * --fail-on-regression still gates timing regressions;
   * non-numeric entry values are ignored rather than compared.
 """
@@ -129,10 +130,30 @@ def main():
                  [{"name": "c", "median_ms": 1.0, "label": "y"}],
                  "--counters", "fail")
     check("string-valued keys and disjoint names do not crash",
-          result.returncode == 0, result.stderr)
+          "Traceback" not in result.stderr, result.stderr)
+    check("disjoint names fail --counters fail (row b is missing)",
+          result.returncode == 1, result.stdout)
     check("unmatched benchmarks are listed",
           "only in baseline" in result.stdout
           and "only in new run" in result.stdout, result.stdout)
+
+    # --- missing rows -----------------------------------------------------
+    # A bench binary drops a run that calls SkipWithError and still exits 0,
+    # so a benchmark that starts failing shows up only as a missing row.
+    rows = [{"name": "kept", "median_ms": 1.0, "states": 5},
+            {"name": "skipped", "median_ms": 1.0, "states": 6}]
+    result = run(rows, rows[:1], "--counters", "fail")
+    check("a row missing from the new run fails --counters fail",
+          result.returncode == 1
+          and "only in baseline:\n  skipped" in result.stdout, result.stdout)
+    result = run(rows, rows[:1])
+    check("a missing row is warn-only by default",
+          result.returncode == 0 and "only in baseline" in result.stdout,
+          result.stdout)
+    result = run(rows[:1], rows, "--counters", "fail")
+    check("a row only in the new run is listed, not gated",
+          result.returncode == 0
+          and "only in new run:\n  skipped" in result.stdout, result.stdout)
 
     if FAILURES:
         print(f"\n{len(FAILURES)} failure(s): {FAILURES}")

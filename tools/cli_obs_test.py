@@ -10,6 +10,7 @@ Drives the built `rpqi` binary end to end:
     (rewrite.A1 .. rewrite.R) with positive ids, well-formed parent links,
     and durations;
   * answer commands emit answer.CDA.probe / answer.ODA.probe spans;
+  * `answer` without --pair refuses more than 2^20 pairs (exit 2);
   * an allocation failure exits 3 with one `error:` line;
   * --metrics-out produces NDJSON counter records consistent with the run;
   * unusable --trace-out/--metrics-out paths exit 2.
@@ -130,6 +131,30 @@ def main():
         mode_names = {r["name"] for r in load_ndjson(mode_trace)}
         check(f"{mode} trace has {span_name}", span_name in mode_names,
               sorted(mode_names))
+
+    # --- all-pairs cap ----------------------------------------------------
+    # Without --pair the CLI probes all N² pairs. Above 2^20 pairs it refuses
+    # with one error line, as the serve `answer` op does; --timeout-ms stops a
+    # binary without the cap after 2 s (exit 4) instead of hours later.
+    capped = run(binary, "answer", "--mode", "cda", "--objects", "1025",
+                 "--query", "a", "--view", "v=a;sound;0,1",
+                 "--timeout-ms", "2000")
+    capped_errors = [line for line in capped.stderr.splitlines()
+                     if line.startswith("error:")]
+    check("all-pairs answer above 2^20 pairs exits 2",
+          capped.returncode == 2, (capped.returncode, capped.stderr[-300:]))
+    check("all-pairs cap prints one error line naming the cap and --pair",
+          len(capped_errors) == 1 and "2^20" in capped_errors[0]
+          and "--pair" in capped_errors[0] and capped.stdout == "",
+          capped.stderr[-300:])
+    explicit = run(binary, "answer", "--mode", "cda", "--objects", "1025",
+                   "--query", "a", "--view", "v=a;sound;0,1",
+                   "--pair", "0,1", "--timeout-ms", "2000")
+    check("an explicit --pair on 1025 objects still answers",
+          explicit.returncode == 0
+          and explicit.stdout.strip() == "(0,1): certain",
+          (explicit.returncode, explicit.stdout[-300:],
+           explicit.stderr[-300:]))
 
     # --- allocation failure -----------------------------------------------
     # An allocation failure is exit 3 with one error line, not an abort

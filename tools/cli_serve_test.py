@@ -181,8 +181,9 @@ def main():
         'this is not json',
         '{"id":5,"op":"admin","action":"stats"}',
     ]
-    # --max-batch 1: request 2 must find request 1's plan in the plan cache
-    # (a per-request service.plan_cache.hit), not in a shared batch context.
+    # --max-batch 1: every request is its own batch; request 2 must find
+    # request 1's plan in the plan cache (a per-request
+    # service.plan_cache.hit).
     proc, records = serve(binary, batch, "--db", db1, "--max-batch", "1")
     check("mixed batch exits 0 on EOF drain", proc.returncode == 0,
           proc.stderr)

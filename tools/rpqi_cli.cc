@@ -41,6 +41,7 @@
 #include "analysis/validate.h"
 #include "answer/cda.h"
 #include "answer/oda.h"
+#include "answer/views.h"
 #include "base/budget.h"
 #include "base/flags.h"
 #include "base/status.h"
@@ -483,6 +484,11 @@ StatusOr<int> CmdAnswer(const FlagMap& flags) {
       probes.push_back(pair);
     }
   } else {
+    if (static_cast<int64_t>(num_objects) * num_objects > kMaxAllPairsProbes) {
+      return Status::InvalidArgument(
+          "all-pairs probing above 2^20 pairs (--objects above 1024) needs "
+          "explicit --pair arguments");
+    }
     for (int c = 0; c < num_objects; ++c) {
       for (int d = 0; d < num_objects; ++d) probes.push_back({c, d});
     }
