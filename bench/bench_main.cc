@@ -98,7 +98,8 @@ std::string JsonEscape(const std::string& text) {
 /// Picks one representative run per benchmark name: the "median" aggregate
 /// when repetitions produced one, the plain iteration run otherwise (its
 /// reported time is already the per-iteration mean, the benchmark library's
-/// stable default).
+/// stable default). Runs are keyed by `run_name`, which an aggregate shares
+/// with its raw runs (`benchmark_name()` appends "_median").
 std::vector<benchmark::BenchmarkReporter::Run> SelectRuns(
     const std::vector<benchmark::BenchmarkReporter::Run>& runs) {
   using Run = benchmark::BenchmarkReporter::Run;
@@ -108,7 +109,7 @@ std::vector<benchmark::BenchmarkReporter::Run> SelectRuns(
     const bool is_aggregate =
         run.run_type == Run::RT_Aggregate;
     if (is_aggregate && run.aggregate_name != "median") continue;
-    const std::string name = run.benchmark_name();
+    const std::string name = run.run_name.str();
     auto [it, inserted] = index_of.try_emplace(name, selected.size());
     if (inserted) {
       selected.push_back(run);
@@ -133,7 +134,7 @@ void WriteJson(const std::string& path, const std::string& bench_name,
   for (const auto& run : SelectRuns(runs)) {
     std::string series;
     long n = -1;
-    const std::string name = run.benchmark_name();
+    const std::string name = run.run_name.str();
     SplitSeries(name, &series, &n);
     if (!first) out << ",\n";
     first = false;

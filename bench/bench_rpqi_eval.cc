@@ -31,7 +31,7 @@ void BM_EvalAllPairs(benchmark::State& state, const std::string& query_text) {
   options.num_nodes = static_cast<int>(state.range(0));
   options.num_relations = 2;
   options.average_out_degree = 3.0;
-  GraphDb db = RandomGraph(rng, options);
+  GraphDb db = RandomGraph(rng, options).Build();
   SignedAlphabet alphabet;
   Nfa query = MakeQuery(query_text, &alphabet);
 
@@ -54,7 +54,7 @@ void BM_EvalSingleSource(benchmark::State& state,
   options.num_nodes = static_cast<int>(state.range(0));
   options.num_relations = 2;
   options.average_out_degree = 3.0;
-  GraphDb db = RandomGraph(rng, options);
+  GraphDb db = RandomGraph(rng, options).Build();
   SignedAlphabet alphabet;
   Nfa query = MakeQuery(query_text, &alphabet);
   const FlatNfa plan = CompileEvalPlan(query);
@@ -80,7 +80,7 @@ void BM_EvalAllPairsPrecompiled(benchmark::State& state,
   options.num_nodes = static_cast<int>(state.range(0));
   options.num_relations = 2;
   options.average_out_degree = 3.0;
-  GraphDb db = RandomGraph(rng, options);
+  GraphDb db = RandomGraph(rng, options).Build();
   SignedAlphabet alphabet;
   Nfa query = MakeQuery(query_text, &alphabet);
   const FlatNfa plan = CompileFlat(query);
@@ -103,23 +103,21 @@ void BM_EvalAllPairsPrecompiled(benchmark::State& state,
 }
 
 // Label-skew scenario: 16 relations at ~128 average out-degree, querying a
-// single label. The filtered row scan touches all ~128 out-edges per visited
-// node and keeps ~8; the CSR label index (DESIGN.md §15) jumps straight to
-// the per-(node,relation) span. The csr/filtered_scan median ratio is the
-// headline number for the columnar snapshot work in EXPERIMENTS.md.
-void BM_EvalLabelSkew(benchmark::State& state, bool use_csr) {
+// single label. The CSR label index (DESIGN.md §15) jumps straight to the
+// per-(node, relation) span, so a visited node costs its ~8 edges of the
+// queried label rather than all ~128 of its out-edges.
+void BM_EvalLabelSkew(benchmark::State& state) {
   std::mt19937_64 rng(42);
   RandomGraphOptions options;
   options.num_nodes = static_cast<int>(state.range(0));
   options.num_relations = 16;
   options.average_out_degree = 128.0;
-  GraphDb db = RandomGraph(rng, options);
+  GraphDb db = RandomGraph(rng, options).Build();
   SignedAlphabet alphabet;
   for (int r = 0; r < options.num_relations; ++r) {
     alphabet.AddRelation("r" + std::to_string(r));
   }
   Nfa query = MustCompileRegex(MustParseRegex("r0*"), alphabet);
-  if (use_csr) db.BuildLabelIndex(alphabet.NumRelations());
 
   int64_t answers = 0;
   ScopedMetricsCounters metrics(state);
@@ -152,10 +150,7 @@ BENCHMARK_CAPTURE(BM_EvalSingleSource, forward_star, std::string("r0*"))
 BENCHMARK_CAPTURE(BM_EvalSingleSource, with_inverse,
                   std::string("(r0 r1^-)* r0"))
     ->Arg(1024)->Arg(4096)->Arg(16384);
-BENCHMARK_CAPTURE(BM_EvalLabelSkew, filtered_scan, false)
-    ->Arg(128)->Arg(512);
-BENCHMARK_CAPTURE(BM_EvalLabelSkew, csr, true)
-    ->Arg(128)->Arg(512);
+BENCHMARK(BM_EvalLabelSkew)->Name("BM_EvalLabelSkew/csr")->Arg(128)->Arg(512);
 
 }  // namespace
 }  // namespace rpqi

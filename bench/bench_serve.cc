@@ -53,7 +53,7 @@ const std::string& GraphPath() {
     options.num_nodes = 512;
     options.num_relations = 2;
     options.average_out_degree = 3.0;
-    GraphDb db = RandomGraph(rng, options);
+    GraphDb db = RandomGraph(rng, options).Build();
     SignedAlphabet alphabet;
     alphabet.AddRelation("r0");
     alphabet.AddRelation("r1");
@@ -86,7 +86,7 @@ const SnapshotOpenFixture& OpenFixture() {
     options.num_nodes = 4096;
     options.num_relations = 4;
     options.average_out_degree = 8.0;
-    GraphDb db = RandomGraph(rng, options);
+    GraphDb db = RandomGraph(rng, options).Build();
     SignedAlphabet alphabet;
     for (int r = 0; r < options.num_relations; ++r) {
       alphabet.AddRelation("r" + std::to_string(r));

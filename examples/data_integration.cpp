@@ -93,9 +93,10 @@ int main() {
     const GraphDb& db = *oda->counterexample;
     std::printf("\nODA counterexample for certain(flight)(ROM,HOU): %d nodes\n",
                 db.NumNodes());
+    const int flight = alphabet.RelationId("flight");
     for (int u = 0; u < db.NumNodes(); ++u) {
-      for (const GraphDb::Edge& e : db.OutEdges(u)) {
-        std::string from(db.NodeName(u)), to(db.NodeName(e.to));
+      for (uint32_t v : db.OutTargets(u, flight)) {
+        std::string from(db.NodeName(u)), to(db.NodeName(static_cast<int>(v)));
         std::printf("  %s --flight--> %s\n", from.c_str(), to.c_str());
       }
     }

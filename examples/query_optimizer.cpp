@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   graph_options.num_nodes = num_nodes;
   graph_options.num_relations = 2;  // cites (0), sameVenue (1)
   graph_options.average_out_degree = 2.5;
-  GraphDb db = RandomGraph(rng, graph_options);
+  GraphDb db = RandomGraph(rng, graph_options).Build();
 
   SignedAlphabet alphabet;
   alphabet.AddRelation("cites");

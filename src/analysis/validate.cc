@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 
 namespace rpqi {
@@ -514,8 +513,8 @@ Status ValidateLabelCsr(const GraphDb& db, int num_relations) {
           d.offsets[row + 1] > d.offsets[row]) {
         return Status::InvalidArgument(
             "graphdb: label index names relation id " +
-            Id(static_cast<int64_t>(row / n)) + " beyond the alphabet's " +
-            Id(num_relations) + " relations");
+            Id(static_cast<int64_t>(row / n)) + ", out of the alphabet's [0, " +
+            Id(num_relations) + ")");
       }
     }
   }
@@ -549,71 +548,7 @@ Status ValidateGraphDb(const GraphDb& db, int num_relations) {
         "graphdb: edges present but the alphabet declares " +
         Id(num_relations) + " relations");
   }
-  if (db.columnar()) {
-    // Columnar databases carry adjacency only in the label index; the row
-    // checks below would be vacuous. The dictionary's sortedness and bounds
-    // were already enforced byte-by-byte by ParseColumnarView.
-    return ValidateLabelCsr(db, num_relations);
-  }
-  if (db.has_label_index()) {
-    RPQI_RETURN_IF_ERROR(ValidateLabelCsr(db, num_relations));
-  }
-  // Edge multiset symmetry: every out-edge from --r--> to must be mirrored by
-  // exactly one in-edge at `to`. Key encodes (from, relation, to).
-  std::unordered_map<int64_t, int> balance;
-  int64_t total_out = 0;
-  int64_t total_in = 0;
-  for (int node = 0; node < db.NumNodes(); ++node) {
-    for (const GraphDb::Edge& e : db.OutEdges(node)) {
-      if (e.relation < 0 || e.relation >= num_relations) {
-        return Status::InvalidArgument(
-            "graphdb: edge " + std::string(db.NodeName(node)) + " --" +
-            Id(e.relation) + "--> node " + Id(e.to) + ": relation id " +
-            Id(e.relation) + " out of range [0, " + Id(num_relations) + ")");
-      }
-      if (e.to < 0 || e.to >= db.NumNodes()) {
-        return Status::InvalidArgument(
-            "graphdb: edge from node " + Id(node) + ": target node " +
-            Id(e.to) + " out of range [0, " + Id(db.NumNodes()) + ")");
-      }
-      int64_t k = (static_cast<int64_t>(node) * db.NumNodes() + e.to) *
-                      num_relations +
-                  e.relation;
-      ++balance[k];
-      ++total_out;
-    }
-    for (const GraphDb::Edge& e : db.InEdges(node)) {
-      if (e.to < 0 || e.to >= db.NumNodes() || e.relation < 0 ||
-          e.relation >= num_relations) {
-        return Status::InvalidArgument(
-            "graphdb: in-edge list of node " + Id(node) +
-            " names relation " + Id(e.relation) + " / source " + Id(e.to) +
-            " out of range");
-      }
-      int64_t k = (static_cast<int64_t>(e.to) * db.NumNodes() + node) *
-                      num_relations +
-                  e.relation;
-      --balance[k];
-      ++total_in;
-    }
-  }
-  if (total_out != total_in) {
-    return Status::InvalidArgument(
-        "graphdb: adjacency mirror out of sync: " + Id(total_out) +
-        " out-edges vs " + Id(total_in) + " in-edges");
-  }
-  for (const auto& [k, count] : balance) {
-    if (count != 0) {
-      int relation = static_cast<int>(k % num_relations);
-      int64_t rest = k / num_relations;
-      int to = static_cast<int>(rest % db.NumNodes());
-      int from = static_cast<int>(rest / db.NumNodes());
-      return Status::InvalidArgument(
-          "graphdb: edge node " + Id(from) + " --" + Id(relation) +
-          "--> node " + Id(to) + " present in only one adjacency direction");
-    }
-  }
-  return Status::Ok();
+  return ValidateLabelCsr(db, num_relations);
 }
 
 Status ValidateViewExtensions(

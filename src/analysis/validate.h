@@ -156,10 +156,11 @@ Status ValidateRegexAst(const RegexPtr& root);
 // ---------------------------------------------------------------------------
 // Graph databases.
 
-/// Checks every edge's relation id against [0, num_relations) — GraphDb only
-/// enforces relation >= 0 because it does not know the alphabet — and the
-/// out/in adjacency mirror (every out-edge must have its in-edge twin, and
-/// the totals must agree).
+/// Checks the label index: offsets monotone from 0 to the edge count,
+/// targets in range and sorted within each span, no edges on a relation id
+/// outside [0, num_relations) — GraphBuilder only enforces relation >= 0
+/// because it does not know the alphabet — and the out/in mirror (every
+/// out-edge has its in-edge twin, with equal multiplicities).
 Status ValidateGraphDb(const GraphDb& db, int num_relations);
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/validate.h"
@@ -53,16 +54,16 @@ StatusOr<CandidateEdges> CandidateSpace(const AnsweringInstance& instance) {
   return space;
 }
 
-/// A database with the nodes "obj0".."obj<n-1>" and no edges.
-GraphDb ObjectNodes(int num_objects) {
-  GraphDb db;
+/// A builder with the nodes "obj0".."obj<n-1>" and no edges.
+GraphBuilder ObjectNodes(int num_objects) {
+  GraphBuilder db;
   for (int i = 0; i < num_objects; ++i) db.AddNode("obj" + std::to_string(i));
   return db;
 }
 
 /// The database of the edges set in `edges`, added in candidate index order.
 GraphDb BuildGraph(const MaskDb& edges) {
-  GraphDb db = ObjectNodes(edges.num_objects());
+  GraphBuilder db = ObjectNodes(edges.num_objects());
   for (int from = 0; from < edges.num_objects(); ++from) {
     for (int to = 0; to < edges.num_objects(); ++to) {
       for (int relation = 0; relation < edges.num_relations(); ++relation) {
@@ -70,7 +71,7 @@ GraphDb BuildGraph(const MaskDb& edges) {
       }
     }
   }
-  return db;
+  return std::move(db).Build();
 }
 
 bool PairsSubset(const std::vector<std::pair<int, int>>& pairs,
@@ -134,14 +135,15 @@ bool SomeConsistentDatabase(const AnsweringInstance& instance, int c, int d,
   EvalScratch scratch;
 
   for (uint32_t mask = 0; mask < (uint32_t{1} << space.Count()); ++mask) {
-    GraphDb db = ObjectNodes(space.num_objects);
+    GraphBuilder builder = ObjectNodes(space.num_objects);
     for (int index = 0; index < space.Count(); ++index) {
       if ((mask >> index) & 1) {
         int from, relation, to;
         space.Decode(index, &from, &relation, &to);
-        db.AddEdge(from, relation, to);
+        builder.AddEdge(from, relation, to);
       }
     }
+    const GraphDb db = std::move(builder).Build();
     if (!ConsistentWithViews(instance, view_plans, db, &scratch)) continue;
     if (EvalRpqiPair(db, query, c, d, &scratch) == want_query_pair) {
       return true;

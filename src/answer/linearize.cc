@@ -1,5 +1,7 @@
 #include "answer/linearize.h"
 
+#include <utility>
+
 #include "automata/ops.h"
 #include "rpq/alphabet.h"
 
@@ -218,7 +220,7 @@ TwoWayNfa BuildLinearizedEvalAutomaton(const Nfa& definition_input,
 
 StatusOr<GraphDb> WordToCanonicalDb(const std::vector<int>& word,
                                     const LinearAlphabet& alphabet) {
-  GraphDb db;
+  GraphBuilder db;
   for (int object = 0; object < alphabet.num_objects; ++object) {
     db.AddNode("obj" + std::to_string(object));
   }
@@ -265,7 +267,7 @@ StatusOr<GraphDb> WordToCanonicalDb(const std::vector<int>& word,
       previous = next;
     }
   }
-  return db;
+  return std::move(db).Build();
 }
 
 std::vector<int> CanonicalDbToWord(const std::vector<CanonicalBlock>& blocks,

@@ -520,13 +520,11 @@ EmptinessResult FindAcceptedWordWithNfa(const Nfa& input,
     span.Note("antichain_size", result.antichain_size);
   };
 
-  auto intern = [&](int nfa_state, const std::vector<uint64_t>& part_states) {
-    std::vector<uint64_t> key;
-    key.reserve(parts.size() + 1);
-    key.push_back(static_cast<uint64_t>(nfa_state));
-    key.insert(key.end(), part_states.begin(), part_states.end());
-    return interner.Intern(key);
-  };
+  // Reused key buffers, so no product edge allocates: `key` holds a copy of
+  // the popped tuple's key, `next` the tuple being interned (the NFA state,
+  // then one state per part).
+  std::vector<uint64_t> key;
+  std::vector<uint64_t> next(parts.size() + 1);
   // Tuple subsumption: the NFA component must match exactly; the parts are
   // compared componentwise (parts without subsumption require equality).
   auto partition = [&](int id) {
@@ -570,12 +568,12 @@ EmptinessResult FindAcceptedWordWithNfa(const Nfa& input,
     return antichain.Blocks(id, partition(id), signature, subsumes);
   };
 
-  std::vector<uint64_t> start_parts(parts.size());
   for (size_t i = 0; i < parts.size(); ++i) {
-    start_parts[i] = static_cast<uint64_t>(parts[i]->StartState());
+    next[1 + i] = static_cast<uint64_t>(parts[i]->StartState());
   }
   for (int s : nfa.InitialStates()) {
-    int id = intern(s, start_parts);
+    next[0] = static_cast<uint64_t>(s);
+    int id = interner.Intern(next);
     if (id == static_cast<int>(index_of_id.size())) {
       if (use_antichain && blocks(id)) {
         index_of_id.push_back(-1);
@@ -619,16 +617,16 @@ EmptinessResult FindAcceptedWordWithNfa(const Nfa& input,
       finalize_stats();
       return result;
     }
-    const std::vector<uint64_t> key = interner.KeyOf(id);
+    key = interner.KeyOf(id);
     int nfa_state = static_cast<int>(key[0]);
     // Group NFA successors by symbol; each symbol advances all parts once.
     for (const Nfa::Transition& t : nfa.TransitionsFrom(nfa_state)) {
-      std::vector<uint64_t> part_states(parts.size());
+      next[0] = static_cast<uint64_t>(t.to);
       for (size_t i = 0; i < parts.size(); ++i) {
-        part_states[i] = static_cast<uint64_t>(
+        next[1 + i] = static_cast<uint64_t>(
             parts[i]->Step(static_cast<int>(key[1 + i]), t.symbol));
       }
-      int to = intern(t.to, part_states);
+      int to = interner.Intern(next);
       if (to == static_cast<int>(index_of_id.size())) {
         if (use_antichain && blocks(to)) {
           index_of_id.push_back(-1);

@@ -135,38 +135,27 @@ StatusOr<std::string> EncodeColumnar(const GraphDb& db,
                                      const SignedAlphabet& alphabet,
                                      uint64_t fingerprint) {
   const int num_relations = alphabet.NumRelations();
-  // The encoder reads adjacency through the label index; derive it on a
-  // scratch copy when the caller has not built one (offline path — compact
-  // and the snapshot loader both index before encoding).
-  GraphDb scratch;
-  const GraphDb* src = &db;
-  if (!db.has_label_index()) {
-    scratch = db;
-    scratch.BuildLabelIndex(num_relations);
-    src = &scratch;
-  }
-  const LabelCsr& csr = src->label_csr();
+  const LabelCsr& csr = db.label_csr();
   if (csr.num_relations > num_relations) {
     return Status::InvalidArgument(
         "columnar: graph names relation id " + Num(csr.num_relations - 1) +
         " but the alphabet declares only " + Num(num_relations) +
         " relations");
   }
-  const int n = src->NumNodes();
-  const int64_t num_edges = src->NumEdges();
+  const int n = db.NumNodes();
+  const int64_t num_edges = db.NumEdges();
 
   // Node dictionary: names in id order plus the sorted-by-name permutation.
   std::string name_blob;
   std::vector<uint64_t> name_offsets(1, 0);
   for (int id = 0; id < n; ++id) {
-    name_blob.append(src->NodeName(id));
+    name_blob.append(db.NodeName(id));
     name_offsets.push_back(name_blob.size());
   }
   std::vector<uint32_t> by_name(n);
   for (int id = 0; id < n; ++id) by_name[id] = static_cast<uint32_t>(id);
   std::sort(by_name.begin(), by_name.end(), [&](uint32_t a, uint32_t b) {
-    return src->NodeName(static_cast<int>(a)) <
-           src->NodeName(static_cast<int>(b));
+    return db.NodeName(static_cast<int>(a)) < db.NodeName(static_cast<int>(b));
   });
 
   std::string relation_blob;
@@ -177,7 +166,8 @@ StatusOr<std::string> EncodeColumnar(const GraphDb& db,
   }
 
   // CSR sections, rebuilt row by row so an index narrower than the alphabet
-  // (relations registered after the graph loaded) pads with empty spans.
+  // (a built index ends at the highest relation with an edge) pads with
+  // empty spans.
   const size_t rows = static_cast<size_t>(num_relations) * n;
   std::vector<uint64_t> out_offsets(rows + 1, 0);
   std::vector<uint64_t> in_offsets(rows + 1, 0);
@@ -576,10 +566,14 @@ StatusOr<ColumnarParts> DecodeColumnar(std::shared_ptr<const std::string> bytes,
 }
 
 GraphDb MakeColumnarGraphDb(const ColumnarParts& parts,
-                            const std::vector<int>& relation_ids,
-                            int num_relations) {
-  RPQI_CHECK(static_cast<int>(relation_ids.size()) == parts.num_relations);
-  RPQI_CHECK_GE(num_relations, parts.num_relations);
+                            SignedAlphabet* alphabet) {
+  std::vector<int> relation_ids;
+  relation_ids.reserve(parts.num_relations);
+  for (int r = 0; r < parts.num_relations; ++r) {
+    relation_ids.push_back(
+        alphabet->AddRelation(std::string(parts.RelationName(r))));
+  }
+  const int num_relations = alphabet->NumRelations();
   bool identity = num_relations == parts.num_relations;
   for (int i = 0; identity && i < parts.num_relations; ++i) {
     identity = relation_ids[i] == i;
@@ -656,20 +650,14 @@ namespace {
 
 /// Per-node out-edges as (relation name, target name) pairs, sorted — the
 /// representation CheckGraphEquivalence compares, independent of node ids
-/// and storage mode.
+/// and relation numbering.
 std::vector<std::pair<std::string_view, std::string_view>> OutEdgeNames(
     const GraphDb& db, const SignedAlphabet& alphabet, int node) {
   std::vector<std::pair<std::string_view, std::string_view>> edges;
-  if (db.has_label_index()) {
-    for (int r = 0; r < db.label_csr().num_relations; ++r) {
-      for (uint32_t to : db.OutTargets(node, r)) {
-        edges.emplace_back(alphabet.RelationName(r),
-                           db.NodeName(static_cast<int>(to)));
-      }
-    }
-  } else {
-    for (const GraphDb::Edge& e : db.OutEdges(node)) {
-      edges.emplace_back(alphabet.RelationName(e.relation), db.NodeName(e.to));
+  for (int r = 0; r < db.label_csr().num_relations; ++r) {
+    for (uint32_t to : db.OutTargets(node, r)) {
+      edges.emplace_back(alphabet.RelationName(r),
+                         db.NodeName(static_cast<int>(to)));
     }
   }
   std::sort(edges.begin(), edges.end());

@@ -15,7 +15,7 @@
 namespace rpqi {
 
 /// Binary columnar snapshot format ("RPQICOL1"), the on-disk twin of
-/// GraphDb's columnar mode (DESIGN.md §15 has the layout diagram):
+/// GraphDb's label index (DESIGN.md §15 has the layout diagram):
 ///
 ///   * a fixed 200-byte little-endian header — magic, version, endianness
 ///     tag, total size, payload checksum, content fingerprint, counts, and a
@@ -88,7 +88,7 @@ struct ColumnarParts {
   }
 };
 
-/// Serializes `db` (either mode) to the binary format. `fingerprint` is
+/// Serializes `db` to the binary format. `fingerprint` is
 /// stored in the header and becomes the plan-cache content fingerprint of
 /// every load of the file — pass the source text's fingerprint
 /// (FingerprintGraphText) when converting, so a text snapshot and its
@@ -120,15 +120,15 @@ StatusOr<ColumnarParts> DecodeColumnar(std::shared_ptr<const std::string> bytes,
                                        std::string_view source_name);
 
 /// Builds the GraphDb for `parts` under the caller's relation numbering:
-/// `relation_ids[i]` is the alphabet id assigned to file relation i (from
-/// SignedAlphabet::AddRelation in file order) and `num_relations` the
-/// alphabet's total. With the identity mapping the adjacency is zero-copy
-/// views into the backing; a caller whose alphabet already numbered the
-/// relations differently (e.g. `rewrite --db` after registering view
-/// relations) gets a remapped in-memory CSR instead — rare, but correct.
+/// registers the file's relations into `alphabet` in file order
+/// (SignedAlphabet::AddRelation) and maps file relation i to the id it gets.
+/// When those ids are 0.. in file order and the alphabet has no other
+/// relations, the adjacency is zero-copy views into the backing; a caller
+/// whose alphabet already numbered the relations differently (e.g.
+/// `rewrite --db` after registering view relations) gets a remapped
+/// in-memory CSR instead — rare, but correct.
 GraphDb MakeColumnarGraphDb(const ColumnarParts& parts,
-                            const std::vector<int>& relation_ids,
-                            int num_relations);
+                            SignedAlphabet* alphabet);
 
 /// Semantic equality of two databases under their own alphabets, matching
 /// nodes and relations by name: same node-name set, same edge multiset

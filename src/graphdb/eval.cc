@@ -30,10 +30,7 @@ class EvalKernel {
     // traffic would dominate the loop.
     static const obs::Counter bfs_runs("eval.bfs_runs");
     static const obs::Counter configurations("eval.configurations");
-    static const obs::Counter csr_runs("eval.csr_runs");
-    static const obs::Counter scan_runs("eval.scan_runs");
     RPQI_CHECK(0 <= start_node && start_node < db.NumNodes());
-    const bool use_csr = db.has_label_index();
     const int num_states = plan.NumStates();
 
     // Every stamp is at most epoch_, so the next epoch marks nothing as seen:
@@ -83,10 +80,6 @@ class EvalKernel {
       scratch.answers_hi_ = hi;
       bfs_runs.Increment();
       configurations.Add(discovered);
-      // Which adjacency path this run took (CSR spans vs filtered row scan)
-      // — the pair partitions eval.bfs_runs, so a snapshot unexpectedly
-      // serving without its label index shows up in the counter dump.
-      (use_csr ? csr_runs : scan_runs).Increment();
     };
     while (!stack.empty()) {
       if (!charge_status.ok()) {
@@ -101,26 +94,13 @@ class EvalKernel {
       stack.pop_back();
       for (const FlatNfa::Edge& t : plan.Edges(state)) {
         int relation = SignedAlphabet::RelationOfSymbol(t.symbol);
-        bool inverse = SignedAlphabet::IsInverseSymbol(t.symbol);
-        if (use_csr) {
-          // Contiguous span of exactly the edges carrying this label — the
-          // whole point of the CSR-by-(relation, direction) layout. Iteration
-          // order within a span is sorted rather than insertion order; the
-          // visited *set* is order-independent, so results are bit-identical
-          // to the scan path.
-          std::span<const uint32_t> targets =
-              inverse ? db.InTargets(node, relation)
-                      : db.OutTargets(node, relation);
-          for (uint32_t other : targets) visit(t.to, static_cast<int>(other));
-        } else if (inverse) {
-          for (const GraphDb::Edge& e : db.InEdges(node)) {
-            if (e.relation == relation) visit(t.to, e.to);
-          }
-        } else {
-          for (const GraphDb::Edge& e : db.OutEdges(node)) {
-            if (e.relation == relation) visit(t.to, e.to);
-          }
-        }
+        // Contiguous span of exactly the edges carrying this label — the
+        // whole point of the CSR-by-(relation, direction) layout.
+        std::span<const uint32_t> targets =
+            SignedAlphabet::IsInverseSymbol(t.symbol)
+                ? db.InTargets(node, relation)
+                : db.OutTargets(node, relation);
+        for (uint32_t other : targets) visit(t.to, static_cast<int>(other));
       }
     }
     flush();

@@ -54,8 +54,7 @@ class EvalScratch {
 /// semipath from x to y conforms to the query (Section 2 semantics — forward
 /// symbols 2k follow edges of relation k, inverse symbols 2k+1 traverse them
 /// backwards). Product-graph BFS over (query state, node), walking the plan's
-/// edge spans against the graph's LabelCsr spans (row scan when the graph
-/// has no label index).
+/// edge spans against the graph's LabelCsr spans.
 ///
 /// The budget is charged one unit per discovered (state, node) configuration
 /// and checked on every expansion; a null budget is unlimited. A null

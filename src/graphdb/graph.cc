@@ -13,7 +13,6 @@ GraphDb GraphDb::FromColumnar(ColumnarGraphView view) {
   db.name_blob_ = view.name_blob;
   db.name_offsets_ = view.name_offsets;
   db.nodes_by_name_ = view.nodes_by_name;
-  db.has_csr_ = true;
   db.csr_ = std::move(view.csr);
   db.backing_ = std::move(view.backing);
   RPQI_CHECK(db.csr_.num_nodes == db.num_nodes_);
@@ -37,60 +36,45 @@ int GraphDb::NodeId(const std::string& name) const {
 }
 
 bool GraphDb::HasEdge(int from, int relation, int to) const {
-  if (has_csr_) {
-    std::span<const uint32_t> targets = csr_.Out(from, relation);
-    return std::binary_search(targets.begin(), targets.end(),
-                              static_cast<uint32_t>(to));
-  }
-  for (const Edge& e : out_[from]) {
-    if (e.relation == relation && e.to == to) return true;
-  }
-  return false;
+  std::span<const uint32_t> targets = csr_.Out(from, relation);
+  return std::binary_search(targets.begin(), targets.end(),
+                            static_cast<uint32_t>(to));
 }
 
-void GraphDb::BuildLabelIndex(int num_relations) {
-  RPQI_CHECK(!columnar_);
-  RPQI_CHECK_GE(num_relations, 0);
-  int relations = num_relations;
-  for (const auto& edges : out_) {
-    for (const Edge& e : edges) relations = std::max(relations, e.relation + 1);
-  }
+GraphDb GraphBuilder::Build() && {
+  int relations = 0;
+  for (const Edge& e : edges_) relations = std::max(relations, e.relation + 1);
   const int n = NumNodes();
   const size_t rows = static_cast<size_t>(relations) * n;
-  LabelCsr csr;
+  GraphDb db;
+  LabelCsr& csr = db.csr_;
   csr.num_nodes = n;
   csr.num_relations = relations;
   csr.out_offsets_store.assign(rows + 1, 0);
   csr.in_offsets_store.assign(rows + 1, 0);
   // Counting pass: offsets[row + 1] accumulates the span length, so the
   // prefix sum below turns the array into span starts in place.
-  for (int node = 0; node < n; ++node) {
-    for (const Edge& e : out_[node]) {
-      ++csr.out_offsets_store[static_cast<size_t>(e.relation) * n + node + 1];
-    }
-    for (const Edge& e : in_[node]) {
-      ++csr.in_offsets_store[static_cast<size_t>(e.relation) * n + node + 1];
-    }
+  for (const Edge& e : edges_) {
+    const size_t base = static_cast<size_t>(e.relation) * n;
+    ++csr.out_offsets_store[base + e.from + 1];
+    ++csr.in_offsets_store[base + e.to + 1];
   }
   for (size_t row = 0; row < rows; ++row) {
     csr.out_offsets_store[row + 1] += csr.out_offsets_store[row];
     csr.in_offsets_store[row + 1] += csr.in_offsets_store[row];
   }
-  csr.out_targets_store.resize(static_cast<size_t>(num_edges_));
-  csr.in_targets_store.resize(static_cast<size_t>(num_edges_));
+  csr.out_targets_store.resize(edges_.size());
+  csr.in_targets_store.resize(edges_.size());
   std::vector<uint64_t> out_cursor(csr.out_offsets_store.begin(),
                                    csr.out_offsets_store.end() - 1);
   std::vector<uint64_t> in_cursor(csr.in_offsets_store.begin(),
                                   csr.in_offsets_store.end() - 1);
-  for (int node = 0; node < n; ++node) {
-    for (const Edge& e : out_[node]) {
-      size_t row = static_cast<size_t>(e.relation) * n + node;
-      csr.out_targets_store[out_cursor[row]++] = static_cast<uint32_t>(e.to);
-    }
-    for (const Edge& e : in_[node]) {
-      size_t row = static_cast<size_t>(e.relation) * n + node;
-      csr.in_targets_store[in_cursor[row]++] = static_cast<uint32_t>(e.to);
-    }
+  for (const Edge& e : edges_) {
+    const size_t base = static_cast<size_t>(e.relation) * n;
+    csr.out_targets_store[out_cursor[base + e.from]++] =
+        static_cast<uint32_t>(e.to);
+    csr.in_targets_store[in_cursor[base + e.to]++] =
+        static_cast<uint32_t>(e.from);
   }
   // Sort within each span: the on-disk format requires it, HasEdge binary
   // searches it, and the validator checks it.
@@ -100,8 +84,10 @@ void GraphDb::BuildLabelIndex(int num_relations) {
     std::sort(csr.in_targets_store.begin() + csr.in_offsets_store[row],
               csr.in_targets_store.begin() + csr.in_offsets_store[row + 1]);
   }
-  csr_ = std::move(csr);
-  has_csr_ = true;
+  db.num_nodes_ = n;
+  db.num_edges_ = static_cast<int64_t>(edges_.size());
+  db.nodes_ = std::move(nodes_);
+  return db;
 }
 
 }  // namespace rpqi

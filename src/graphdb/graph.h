@@ -21,11 +21,13 @@ namespace rpqi {
 /// database is a multigraph).
 ///
 /// The arrays either live in the `_store` vectors (built in memory by
-/// GraphDb::BuildLabelIndex) or point into an mmapped columnar snapshot (the
-/// `ext_` pointers; the owning GraphDb holds the mapping alive through its
-/// backing handle). Accessors resolve external-first so the struct stays
-/// safely copyable: copying an owned index copies the vectors and leaves the
-/// external pointers null.
+/// GraphBuilder::Build, or remapped from a snapshot) or point into an mmapped
+/// columnar snapshot (the `ext_` pointers; the owning GraphDb holds the
+/// mapping alive through its backing handle). Accessors resolve
+/// external-first so the struct stays safely copyable: copying an owned
+/// index copies the vectors and leaves the external pointers null. A
+/// default LabelCsr is the valid index of the empty graph: zero rows, one
+/// offset.
 struct LabelCsr {
   int num_nodes = 0;
   int num_relations = 0;
@@ -35,9 +37,10 @@ struct LabelCsr {
   const uint64_t* ext_in_offsets = nullptr;
   const uint32_t* ext_in_targets = nullptr;
 
-  std::vector<uint64_t> out_offsets_store;  // num_relations * num_nodes + 1
-  std::vector<uint32_t> out_targets_store;  // num_edges
-  std::vector<uint64_t> in_offsets_store;
+  // Offsets hold num_relations * num_nodes + 1 entries, targets num_edges.
+  std::vector<uint64_t> out_offsets_store = {0};
+  std::vector<uint32_t> out_targets_store;
+  std::vector<uint64_t> in_offsets_store = {0};
   std::vector<uint32_t> in_targets_store;
 
   const uint64_t* out_offsets() const {
@@ -57,9 +60,9 @@ struct LabelCsr {
                                      : in_targets_store.data();
   }
 
-  /// Targets of `node`'s out-edges labeled `relation`. Relations registered
-  /// after the index was built (a query naming a relation absent from the
-  /// graph) have no edges, hence the empty span above num_relations.
+  /// Targets of `node`'s out-edges labeled `relation`. Relations past the
+  /// index (a query naming a relation absent from the graph) have no edges,
+  /// hence the empty span above num_relations.
   std::span<const uint32_t> Out(int node, int relation) const {
     if (relation >= num_relations) return {};
     size_t row = static_cast<size_t>(relation) * num_nodes + node;
@@ -102,25 +105,14 @@ struct ColumnarGraphView {
 /// SignedAlphabet (relation k owns Σ± symbols 2k and 2k+1), so a GraphDb and
 /// the query automata over it are coordinated through one alphabet.
 ///
-/// Nodes are dense ids; named nodes are interned, anonymous nodes (the
-/// intermediate objects of canonical databases, Definition 12) get synthetic
-/// names.
-///
-/// Two storage modes share this interface:
-///   * row mode — the build/import path: an interner plus per-node edge
-///     vectors, grown by AddNode/AddEdge. BuildLabelIndex() additionally
-///     derives the LabelCsr view for the eval hot path.
-///   * columnar mode — the read path of an mmapped binary snapshot
-///     (graphdb/columnar.h): node names are a sorted dictionary view and
-///     adjacency lives only in the LabelCsr. Columnar databases are
-///     immutable; the mutators below reject them.
+/// A GraphDb is immutable and always indexed: every reader sees its edges as
+/// the per-(relation, direction) LabelCsr spans, which GraphBuilder::Build
+/// counting-sorts in memory and a columnar snapshot (graphdb/columnar.h) maps
+/// from its file. Node names live in an interner when built and in a sorted
+/// dictionary view of the mapping when mapped. A default-constructed GraphDb
+/// is the empty graph.
 class GraphDb {
  public:
-  struct Edge {
-    int relation;
-    int to;
-  };
-
   GraphDb() = default;
 
   GraphDb(const GraphDb&) = default;
@@ -128,25 +120,10 @@ class GraphDb {
   GraphDb(GraphDb&&) = default;
   GraphDb& operator=(GraphDb&&) = default;
 
-  /// Adopts a columnar snapshot's sections as an immutable database.
+  /// Adopts a columnar snapshot's sections as a database.
   static GraphDb FromColumnar(ColumnarGraphView view);
 
-  /// Returns the id of the named node, creating it if new.
-  int AddNode(const std::string& name) {
-    RPQI_CHECK(!columnar_);
-    int id = nodes_.Intern(name);
-    if (id == static_cast<int>(out_.size())) {
-      out_.emplace_back();
-      in_.emplace_back();
-    }
-    return id;
-  }
-
-  /// Creates a fresh unnamed node (named "_anonN" internally).
-  int AddAnonymousNode() {
-    return AddNode("_anon" + std::to_string(NumNodes()));
-  }
-
+  /// Id of the named node, or -1.
   int NodeId(const std::string& name) const;
   std::string_view NodeName(int id) const {
     if (!columnar_) return nodes_.NameOf(id);
@@ -155,49 +132,13 @@ class GraphDb {
             static_cast<size_t>(name_offsets_[id + 1] - name_offsets_[id])};
   }
 
-  int NumNodes() const {
-    return columnar_ ? num_nodes_ : static_cast<int>(out_.size());
-  }
-
+  int NumNodes() const { return num_nodes_; }
   int64_t NumEdges() const { return num_edges_; }
 
-  void AddEdge(int from, int relation, int to) {
-    RPQI_CHECK(!columnar_);
-    RPQI_CHECK(0 <= from && from < NumNodes());
-    RPQI_CHECK(0 <= to && to < NumNodes());
-    RPQI_CHECK_GE(relation, 0);
-    out_[from].push_back({relation, to});
-    in_[to].push_back({relation, from});
-    ++num_edges_;
-    // A mutation invalidates any derived label index rather than updating it
-    // (the index is built once, after the graph is complete).
-    if (has_csr_) {
-      has_csr_ = false;
-      csr_ = LabelCsr();
-    }
-  }
-
+  /// Binary search of `from`'s out-span for `relation`.
   bool HasEdge(int from, int relation, int to) const;
 
-  /// Outgoing edges of `node`: node --relation--> e.to. Row mode only —
-  /// columnar databases carry adjacency exclusively in the label index.
-  const std::vector<Edge>& OutEdges(int node) const {
-    RPQI_CHECK(!columnar_);
-    return out_[node];
-  }
-  /// Incoming edges of `node`: e.to --relation--> node (e.to is the source).
-  const std::vector<Edge>& InEdges(int node) const {
-    RPQI_CHECK(!columnar_);
-    return in_[node];
-  }
-
-  /// True when adjacency is available as per-(relation, direction) CSR spans
-  /// (always for columnar databases; after BuildLabelIndex for row ones).
-  bool has_label_index() const { return has_csr_; }
-  bool columnar() const { return columnar_; }
-
-  /// Sorted targets of `node`'s out-edges labeled `relation`. Requires
-  /// has_label_index().
+  /// Sorted targets of `node`'s out-edges labeled `relation`.
   std::span<const uint32_t> OutTargets(int node, int relation) const {
     return csr_.Out(node, relation);
   }
@@ -205,38 +146,67 @@ class GraphDb {
   std::span<const uint32_t> InTargets(int node, int relation) const {
     return csr_.In(node, relation);
   }
-  const LabelCsr& label_csr() const {
-    RPQI_CHECK(has_csr_);
-    return csr_;
-  }
-
-  /// Builds the LabelCsr view from the row adjacency, covering relation ids
-  /// [0, max(num_relations, highest relation seen + 1)). Row mode only; a
-  /// later AddEdge drops the index again.
-  void BuildLabelIndex(int num_relations);
+  const LabelCsr& label_csr() const { return csr_; }
 
  private:
-  // Row mode (build/import path); empty in columnar mode.
-  StringInterner nodes_;
-  std::vector<std::vector<Edge>> out_;
-  std::vector<std::vector<Edge>> in_;
-  /// Cached edge count, maintained by AddEdge — NumEdges() is on the `admin
-  /// stats` and reload-response paths, where the old O(nodes) sum showed up.
+  friend class GraphBuilder;
+
+  int num_nodes_ = 0;
   int64_t num_edges_ = 0;
 
-  // Columnar mode: node dictionary views into backing_.
+  // Node names of a built database.
+  StringInterner nodes_;
+  // Node names of a mapped database: dictionary views into backing_.
   bool columnar_ = false;
-  int num_nodes_ = 0;
   const char* name_blob_ = nullptr;
   const uint64_t* name_offsets_ = nullptr;
   const uint32_t* nodes_by_name_ = nullptr;
 
-  // Label index (always present in columnar mode, optional in row mode).
-  bool has_csr_ = false;
   LabelCsr csr_;
   /// Keeps an mmapped snapshot alive for as long as any copy of this
   /// database aliases it.
   std::shared_ptr<const void> backing_;
+};
+
+/// Collects a database's nodes and edges, then builds its GraphDb. Nodes are
+/// interned by name in id order; edges are kept as one flat list in
+/// insertion order, a multigraph (a repeated edge is a second edge).
+class GraphBuilder {
+ public:
+  struct Edge {
+    int from;
+    int relation;
+    int to;
+  };
+
+  /// Returns the id of the named node, creating it if new.
+  int AddNode(const std::string& name) { return nodes_.Intern(name); }
+
+  /// Creates a fresh unnamed node (named "_anonN" internally).
+  int AddAnonymousNode() {
+    return AddNode("_anon" + std::to_string(NumNodes()));
+  }
+
+  void AddEdge(int from, int relation, int to) {
+    RPQI_CHECK(0 <= from && from < NumNodes());
+    RPQI_CHECK(0 <= to && to < NumNodes());
+    RPQI_CHECK_GE(relation, 0);
+    edges_.push_back({from, relation, to});
+  }
+
+  int NumNodes() const { return nodes_.size(); }
+
+  /// The edges added so far, in insertion order.
+  const std::vector<Edge>& edges() const { return edges_; }
+
+  /// Counting-sorts the edges into the label index, covering relation ids
+  /// [0, highest relation id + 1); spans of higher relations read as empty.
+  /// Targets are sorted within each span.
+  GraphDb Build() &&;
+
+ private:
+  StringInterner nodes_;
+  std::vector<Edge> edges_;
 };
 
 }  // namespace rpqi

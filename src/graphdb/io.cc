@@ -1,5 +1,7 @@
 #include "graphdb/io.h"
 
+#include <utility>
+
 #include "base/hash.h"
 #include "base/strings.h"
 #include "fault/fault.h"
@@ -33,7 +35,7 @@ std::string Excerpt(std::string_view line) {
 
 StatusOr<GraphDb> LoadGraphText(std::string_view text, SignedAlphabet* alphabet,
                                 const GraphTextLimits& limits) {
-  GraphDb db;
+  GraphBuilder builder;
   int line_number = 0;
   int64_t num_edges = 0;
   // Split lines by hand (StrSplit drops empty pieces, which would make the
@@ -73,48 +75,34 @@ StatusOr<GraphDb> LoadGraphText(std::string_view text, SignedAlphabet* alphabet,
           ErrorContext(limits, line_number, line_start) + "graph exceeds " +
           std::to_string(limits.max_edges) + " edges");
     }
-    int from = db.AddNode(fields[0]);
+    int from = builder.AddNode(fields[0]);
     int relation = alphabet->AddRelation(fields[1]);
-    int to = db.AddNode(fields[2]);
-    if (db.NumNodes() > limits.max_nodes) {
+    int to = builder.AddNode(fields[2]);
+    if (builder.NumNodes() > limits.max_nodes) {
       return Status::InvalidArgument(
           ErrorContext(limits, line_number, line_start) + "graph exceeds " +
           std::to_string(limits.max_nodes) + " nodes");
     }
-    db.AddEdge(from, relation, to);
+    builder.AddEdge(from, relation, to);
   }
-  return db;
+  return std::move(builder).Build();
 }
 
 std::string SaveGraphText(const GraphDb& db, const SignedAlphabet& alphabet) {
+  // Label-index order: by source node, then relation, then target. Isolated
+  // nodes are not representable in the text format (a line is an edge).
   std::string out;
-  if (db.columnar()) {
-    // Columnar databases carry adjacency only in the label index; emit each
-    // relation's spans. Isolated nodes are not representable in the text
-    // format either way (a line is an edge), so nothing extra is lost.
-    const int num_relations = db.label_csr().num_relations;
-    for (int node = 0; node < db.NumNodes(); ++node) {
-      for (int r = 0; r < num_relations; ++r) {
-        for (uint32_t to : db.OutTargets(node, r)) {
-          out += db.NodeName(node);
-          out += ' ';
-          out += alphabet.RelationName(r);
-          out += ' ';
-          out += db.NodeName(static_cast<int>(to));
-          out += '\n';
-        }
-      }
-    }
-    return out;
-  }
+  const int num_relations = db.label_csr().num_relations;
   for (int node = 0; node < db.NumNodes(); ++node) {
-    for (const GraphDb::Edge& e : db.OutEdges(node)) {
-      out += db.NodeName(node);
-      out += ' ';
-      out += alphabet.RelationName(e.relation);
-      out += ' ';
-      out += db.NodeName(e.to);
-      out += '\n';
+    for (int r = 0; r < num_relations; ++r) {
+      for (uint32_t to : db.OutTargets(node, r)) {
+        out += db.NodeName(node);
+        out += ' ';
+        out += alphabet.RelationName(r);
+        out += ' ';
+        out += db.NodeName(static_cast<int>(to));
+        out += '\n';
+      }
     }
   }
   return out;

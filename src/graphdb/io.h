@@ -36,8 +36,8 @@ struct GraphTextLimits {
 StatusOr<GraphDb> LoadGraphText(std::string_view text, SignedAlphabet* alphabet,
                                 const GraphTextLimits& limits = {});
 
-/// Serializes back to the text format (stable node/relation names). Works for
-/// both storage modes: columnar databases emit their CSR spans.
+/// Serializes back to the text format (stable node/relation names), one line
+/// per edge in label-index order: by source node, then relation, then target.
 std::string SaveGraphText(const GraphDb& db, const SignedAlphabet& alphabet);
 
 /// Content fingerprint of a text snapshot — the plan-cache key component.

@@ -1,5 +1,7 @@
 #include "graphdb/views.h"
 
+#include <utility>
+
 #include "graphdb/eval.h"
 
 namespace rpqi {
@@ -12,7 +14,7 @@ std::vector<std::pair<int, int>> MaterializeView(const GraphDb& db,
 GraphDb BuildViewGraph(
     int num_objects,
     const std::vector<std::vector<std::pair<int, int>>>& extensions) {
-  GraphDb graph;
+  GraphBuilder graph;
   for (int i = 0; i < num_objects; ++i) {
     graph.AddNode("obj" + std::to_string(i));
   }
@@ -21,7 +23,7 @@ GraphDb BuildViewGraph(
       graph.AddEdge(a, static_cast<int>(view), b);
     }
   }
-  return graph;
+  return std::move(graph).Build();
 }
 
 }  // namespace rpqi

@@ -61,15 +61,8 @@ StatusOr<std::shared_ptr<GraphSnapshot>> LoadMutable(
     // The header carries the *source text's* fingerprint, so reloading the
     // compacted twin of a text snapshot keeps the plan cache warm.
     snapshot->fingerprint = parts.fingerprint;
-    std::vector<int> relation_ids;
-    relation_ids.reserve(parts.num_relations);
-    for (int r = 0; r < parts.num_relations; ++r) {
-      relation_ids.push_back(
-          snapshot->alphabet.AddRelation(std::string(parts.RelationName(r))));
-    }
     int64_t bytes = parts.file_bytes;
-    snapshot->db = MakeColumnarGraphDb(parts, relation_ids,
-                                       snapshot->alphabet.NumRelations());
+    snapshot->db = MakeColumnarGraphDb(parts, &snapshot->alphabet);
     RPQI_RETURN_IF_ERROR(
         ValidateGraphDb(snapshot->db, snapshot->alphabet.NumRelations()));
     loads.Increment();
@@ -103,9 +96,6 @@ StatusOr<std::shared_ptr<GraphSnapshot>> LoadMutable(
   limits.source_name = path;
   RPQI_ASSIGN_OR_RETURN(snapshot->db,
                         LoadGraphText(text, &snapshot->alphabet, limits));
-  // Text-loaded graphs get the in-memory CSR so eval takes the same span
-  // iteration path as mmapped snapshots.
-  snapshot->db.BuildLabelIndex(snapshot->alphabet.NumRelations());
   RPQI_RETURN_IF_ERROR(
       ValidateGraphDb(snapshot->db, snapshot->alphabet.NumRelations()));
   loads.Increment();

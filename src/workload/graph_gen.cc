@@ -2,8 +2,9 @@
 
 namespace rpqi {
 
-GraphDb RandomGraph(std::mt19937_64& rng, const RandomGraphOptions& options) {
-  GraphDb db;
+GraphBuilder RandomGraph(std::mt19937_64& rng,
+                         const RandomGraphOptions& options) {
+  GraphBuilder db;
   for (int i = 0; i < options.num_nodes; ++i) {
     db.AddNode("n" + std::to_string(i));
   }
@@ -18,8 +19,9 @@ GraphDb RandomGraph(std::mt19937_64& rng, const RandomGraphOptions& options) {
   return db;
 }
 
-GraphDb ChainGraph(std::mt19937_64& rng, int num_nodes, int num_relations) {
-  GraphDb db;
+GraphBuilder ChainGraph(std::mt19937_64& rng, int num_nodes,
+                        int num_relations) {
+  GraphBuilder db;
   for (int i = 0; i < num_nodes; ++i) {
     db.AddNode("n" + std::to_string(i));
   }
@@ -30,8 +32,9 @@ GraphDb ChainGraph(std::mt19937_64& rng, int num_nodes, int num_relations) {
   return db;
 }
 
-GraphDb RandomTree(std::mt19937_64& rng, int num_nodes, int num_relations) {
-  GraphDb db;
+GraphBuilder RandomTree(std::mt19937_64& rng, int num_nodes,
+                        int num_relations) {
+  GraphBuilder db;
   for (int i = 0; i < num_nodes; ++i) {
     db.AddNode("n" + std::to_string(i));
   }

@@ -8,7 +8,9 @@
 namespace rpqi {
 
 /// Options for random database generation. All generators are deterministic
-/// given the RNG state; relations are ids [0, num_relations).
+/// given the RNG state; relations are ids [0, num_relations). Each generator
+/// returns the GraphBuilder it filled: Build() gives the database, and
+/// edges() the list it was built from.
 struct RandomGraphOptions {
   int num_nodes = 10;
   int num_relations = 2;
@@ -17,15 +19,18 @@ struct RandomGraphOptions {
 };
 
 /// Uniform random multigraph ("Erdős–Rényi-style" over labeled edges).
-GraphDb RandomGraph(std::mt19937_64& rng, const RandomGraphOptions& options);
+GraphBuilder RandomGraph(std::mt19937_64& rng,
+                         const RandomGraphOptions& options);
 
 /// A simple chain n0 -r0-> n1 -r1-> … with uniformly random relations; the
 /// line databases on which word-satisfaction semantics is easiest to audit.
-GraphDb ChainGraph(std::mt19937_64& rng, int num_nodes, int num_relations);
+GraphBuilder ChainGraph(std::mt19937_64& rng, int num_nodes,
+                        int num_relations);
 
 /// A random rooted tree with edges pointing away from the root — matches the
 /// paper's Example 1 shape when num_relations = 1 (hasSubmodule).
-GraphDb RandomTree(std::mt19937_64& rng, int num_nodes, int num_relations);
+GraphBuilder RandomTree(std::mt19937_64& rng, int num_nodes,
+                        int num_relations);
 
 }  // namespace rpqi
 

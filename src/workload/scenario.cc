@@ -1,5 +1,7 @@
 #include "workload/scenario.h"
 
+#include <utility>
+
 #include "regex/parser.h"
 
 namespace rpqi {
@@ -11,18 +13,20 @@ SoftwareModulesScenario MakeSoftwareModulesScenario(std::mt19937_64& rng,
   int has_submodule = scenario.alphabet.AddRelation("hasSubmodule");
   int contains_var = scenario.alphabet.AddRelation("containsVar");
 
+  GraphBuilder db;
   for (int i = 0; i < num_modules; ++i) {
-    scenario.db.AddNode("module" + std::to_string(i));
+    db.AddNode("module" + std::to_string(i));
   }
   for (int i = 1; i < num_modules; ++i) {
     std::uniform_int_distribution<int> pick_parent(0, i - 1);
-    scenario.db.AddEdge(pick_parent(rng), has_submodule, i);
+    db.AddEdge(pick_parent(rng), has_submodule, i);
   }
   std::uniform_int_distribution<int> pick_module(0, num_modules - 1);
   for (int i = 0; i < num_variables; ++i) {
-    int variable = scenario.db.AddNode("var" + std::to_string(i));
-    scenario.db.AddEdge(pick_module(rng), contains_var, variable);
+    int variable = db.AddNode("var" + std::to_string(i));
+    db.AddEdge(pick_module(rng), contains_var, variable);
   }
+  scenario.db = std::move(db).Build();
 
   scenario.visibility_query =
       MustParseRegex("(hasSubmodule^-)* (containsVar | hasSubmodule)");

@@ -173,13 +173,14 @@ std::vector<CorruptionCase> CorruptionTable() {
   table.push_back(
       {"graphdb relation id out of range",
        [] {
-         // GraphDb::AddEdge only checks relation >= 0; it cannot know the
-         // alphabet, so a stale relation id is representable.
-         GraphDb db;
-         db.AddNode("x");
-         db.AddNode("y");
-         db.AddEdge(0, 5, 1);
-         return ValidateGraphDb(db, /*num_relations=*/2);
+         // GraphBuilder::AddEdge only checks relation >= 0; it cannot know
+         // the alphabet, so a stale relation id is representable.
+         GraphBuilder builder;
+         builder.AddNode("x");
+         builder.AddNode("y");
+         builder.AddEdge(0, 5, 1);
+         return ValidateGraphDb(std::move(builder).Build(),
+                                /*num_relations=*/2);
        },
        {"relation id 5", "[0, 2)"}});
 
@@ -325,11 +326,12 @@ TEST(AnalysisAcceptanceTest, BuildValidatedNfaRejectsBadDescription) {
 }
 
 TEST(AnalysisAcceptanceTest, HealthyGraphDbPasses) {
-  GraphDb db;
-  db.AddNode("x");
-  db.AddNode("y");
-  db.AddEdge(0, 0, 1);
-  db.AddEdge(1, 1, 0);
+  GraphBuilder builder;
+  builder.AddNode("x");
+  builder.AddNode("y");
+  builder.AddEdge(0, 0, 1);
+  builder.AddEdge(1, 1, 0);
+  GraphDb db = std::move(builder).Build();
   EXPECT_TRUE(ValidateGraphDb(db, 2).ok());
 }
 

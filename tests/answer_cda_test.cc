@@ -243,17 +243,15 @@ TEST(CdaTest, AgreesWithBruteForceOnRandomInstances) {
   }
 }
 
-/// Same nodes (by name) and the same out-edge lists in the same order.
+/// Same nodes (by name) and the same out-span for every (node, relation).
 bool SameDatabase(const GraphDb& a, const GraphDb& b) {
   if (a.NumNodes() != b.NumNodes()) return false;
+  const int num_relations =
+      std::max(a.label_csr().num_relations, b.label_csr().num_relations);
   for (int node = 0; node < a.NumNodes(); ++node) {
     if (a.NodeName(node) != b.NodeName(node)) return false;
-    const std::vector<GraphDb::Edge>& a_edges = a.OutEdges(node);
-    const std::vector<GraphDb::Edge>& b_edges = b.OutEdges(node);
-    if (a_edges.size() != b_edges.size()) return false;
-    for (size_t i = 0; i < a_edges.size(); ++i) {
-      if (a_edges[i].relation != b_edges[i].relation ||
-          a_edges[i].to != b_edges[i].to) {
+    for (int r = 0; r < num_relations; ++r) {
+      if (!std::ranges::equal(a.OutTargets(node, r), b.OutTargets(node, r))) {
         return false;
       }
     }

@@ -2,8 +2,8 @@
 // round-trip identity (text -> compact -> load gives bit-identical eval
 // answers and a stable plan-cache fingerprint), structured rejection of
 // truncated / bit-flipped / misaligned / version-skewed files with
-// byte-offset diagnostics, the relation-remap load path, and the
-// graphdb.compact_write fault site.
+// byte-offset diagnostics, the relation-remap load path, the
+// graphdb.compact_write fault site, and the empty graph.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -21,10 +20,10 @@
 #include "graphdb/eval.h"
 #include "graphdb/graph.h"
 #include "graphdb/io.h"
+#include "obs/metrics.h"
 #include "regex/parser.h"
 #include "rpq/compile.h"
 #include "service/snapshot.h"
-#include "workload/graph_gen.h"
 
 namespace rpqi {
 namespace {
@@ -73,19 +72,12 @@ StatusOr<GraphDb> ReloadThroughColumnar(const GraphDb& db,
       DecodeColumnar(std::make_shared<const std::string>(std::move(encoded)),
                      "test"));
   if (fingerprint_out != nullptr) *fingerprint_out = parts.fingerprint;
-  std::vector<int> relation_ids;
-  for (int r = 0; r < parts.num_relations; ++r) {
-    relation_ids.push_back(
-        reloaded_alphabet->AddRelation(std::string(parts.RelationName(r))));
-  }
-  return MakeColumnarGraphDb(parts, relation_ids,
-                             reloaded_alphabet->NumRelations());
+  return MakeColumnarGraphDb(parts, reloaded_alphabet);
 }
 
 TEST(ColumnarTest, RoundTripPreservesNodesEdgesAndNames) {
   SignedAlphabet alphabet;
   GraphDb db = LoadFixture(&alphabet);
-  db.BuildLabelIndex(alphabet.NumRelations());
 
   SignedAlphabet reloaded_alphabet;
   uint64_t fingerprint = 0;
@@ -93,8 +85,6 @@ TEST(ColumnarTest, RoundTripPreservesNodesEdgesAndNames) {
       ReloadThroughColumnar(db, alphabet, &reloaded_alphabet, &fingerprint);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ(fingerprint, 42u);
-  EXPECT_TRUE(reloaded->columnar());
-  EXPECT_TRUE(reloaded->has_label_index());
   EXPECT_EQ(reloaded->NumNodes(), db.NumNodes());
   EXPECT_EQ(reloaded->NumEdges(), db.NumEdges());
   // Node ids are preserved (insertion order), names agree, and the sorted
@@ -119,7 +109,6 @@ TEST(ColumnarTest, RoundTripPreservesNodesEdgesAndNames) {
 TEST(ColumnarTest, RoundTripGivesBitIdenticalEvalAnswers) {
   SignedAlphabet alphabet;
   GraphDb db = LoadFixture(&alphabet);
-  db.BuildLabelIndex(alphabet.NumRelations());
   SignedAlphabet reloaded_alphabet;
   StatusOr<GraphDb> reloaded =
       ReloadThroughColumnar(db, alphabet, &reloaded_alphabet);
@@ -136,47 +125,9 @@ TEST(ColumnarTest, RoundTripGivesBitIdenticalEvalAnswers) {
   }
 }
 
-TEST(ColumnarTest, CsrEvalMatchesRowScanOnRandomGraphs) {
-  // The CSR fast path and the filtered row scan must agree configuration-for-
-  // configuration on arbitrary multigraphs, not just the fixture.
-  std::mt19937_64 rng(7);
-  SignedAlphabet alphabet;
-  alphabet.AddRelation("r0");
-  alphabet.AddRelation("r1");
-  alphabet.AddRelation("r2");
-  Nfa query =
-      MustCompileRegex(MustParseRegex("r0 (r1^- | r2)* r0?"), alphabet);
-  for (int trial = 0; trial < 10; ++trial) {
-    RandomGraphOptions options;
-    options.num_nodes = 24;
-    options.num_relations = 3;
-    options.average_out_degree = 2.5;
-    GraphDb row_db = RandomGraph(rng, options);
-    GraphDb indexed_db = row_db;
-    indexed_db.BuildLabelIndex(alphabet.NumRelations());
-    ASSERT_FALSE(row_db.has_label_index());
-    ASSERT_TRUE(indexed_db.has_label_index());
-    EXPECT_EQ(EvalRpqiAllPairs(row_db, CompileEvalPlan(query)),
-              EvalRpqiAllPairs(indexed_db, CompileEvalPlan(query)));
-  }
-}
-
-TEST(ColumnarTest, MutationInvalidatesLabelIndex) {
-  SignedAlphabet alphabet;
-  GraphDb db = LoadFixture(&alphabet);
-  db.BuildLabelIndex(alphabet.NumRelations());
-  ASSERT_TRUE(db.has_label_index());
-  int a = db.AddNode("zeta");
-  int b = db.AddNode("eta");
-  db.AddEdge(a, 0, b);
-  EXPECT_FALSE(db.has_label_index());  // stale spans must not survive
-  EXPECT_EQ(db.NumEdges(), 8);         // cached count keeps up
-}
-
 TEST(ColumnarTest, RelationRemapLoadPreservesSemantics) {
   SignedAlphabet alphabet;
   GraphDb db = LoadFixture(&alphabet);
-  db.BuildLabelIndex(alphabet.NumRelations());
   // A caller whose alphabet already numbered relations differently: r2 and
   // r1 are registered first, so the file's ids (r0=0, r1=1, r2=2) land on
   // (r0=2, r1=1, r2=0) — the owned-remap path of MakeColumnarGraphDb.
@@ -334,20 +285,25 @@ TEST(ColumnarTest, SnapshotLoaderSniffsFormatAndKeepsFingerprint) {
   const std::string bin_path = TempPath("columnar_snap.rpqicol");
   WriteFile(text_path, kGraphText);
 
+  obs::MetricsSnapshot before = obs::TakeMetricsSnapshot();
   StatusOr<std::shared_ptr<const service::GraphSnapshot>> from_text =
       service::LoadGraphSnapshot(text_path, SignedAlphabet());
   ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
-  EXPECT_TRUE((*from_text)->db.has_label_index());
-  EXPECT_FALSE((*from_text)->db.columnar());
+  EXPECT_EQ(obs::TakeMetricsSnapshot().DeltaSince(before).CounterValue(
+                "service.snapshot.mmap_opens"),
+            0);
 
   ASSERT_TRUE(WriteColumnarFile(bin_path, (*from_text)->db,
                                 (*from_text)->alphabet,
                                 (*from_text)->fingerprint)
                   .ok());
+  before = obs::TakeMetricsSnapshot();
   StatusOr<std::shared_ptr<const service::GraphSnapshot>> from_bin =
       service::LoadGraphSnapshot(bin_path, SignedAlphabet());
   ASSERT_TRUE(from_bin.ok()) << from_bin.status().ToString();
-  EXPECT_TRUE((*from_bin)->db.columnar());
+  EXPECT_EQ(obs::TakeMetricsSnapshot().DeltaSince(before).CounterValue(
+                "service.snapshot.mmap_opens"),
+            1);
   EXPECT_EQ((*from_bin)->fingerprint, (*from_text)->fingerprint);
   EXPECT_EQ((*from_bin)->db.NumNodes(), (*from_text)->db.NumNodes());
   EXPECT_EQ((*from_bin)->db.NumEdges(), (*from_text)->db.NumEdges());
@@ -375,19 +331,54 @@ TEST(ColumnarTest, SnapshotLoaderSniffsFormatAndKeepsFingerprint) {
 TEST(ColumnarTest, SaveGraphTextWorksInColumnarMode) {
   SignedAlphabet alphabet;
   GraphDb db = LoadFixture(&alphabet);
-  db.BuildLabelIndex(alphabet.NumRelations());
   SignedAlphabet reloaded_alphabet;
   StatusOr<GraphDb> reloaded =
       ReloadThroughColumnar(db, alphabet, &reloaded_alphabet);
   ASSERT_TRUE(reloaded.ok());
-  // Re-parsing the columnar database's text emission gives an equivalent
-  // graph (line order may differ between modes; semantics may not).
+  // A mapped database saves the built one's text (both emit label-index
+  // order over the same node and relation ids), and re-parsing it gives an
+  // equivalent graph.
+  EXPECT_EQ(SaveGraphText(*reloaded, reloaded_alphabet),
+            SaveGraphText(db, alphabet));
   SignedAlphabet reparsed_alphabet;
   StatusOr<GraphDb> reparsed = LoadGraphText(
       SaveGraphText(*reloaded, reloaded_alphabet), &reparsed_alphabet);
   ASSERT_TRUE(reparsed.ok());
   EXPECT_TRUE(CheckGraphEquivalence(db, alphabet, *reparsed, reparsed_alphabet)
                   .ok());
+}
+
+// The empty graph is a valid indexed graph however it is made: its label
+// index has zero rows and one offset, so validation, eval, saving and the
+// columnar round trip all read it like any other graph.
+TEST(ColumnarTest, EmptyGraphIsAValidIndexedGraph) {
+  SignedAlphabet alphabet;
+  StatusOr<GraphDb> comment_only = LoadGraphText("# comment only\n", &alphabet);
+  ASSERT_TRUE(comment_only.ok()) << comment_only.status().ToString();
+  ASSERT_EQ(alphabet.NumRelations(), 0);
+  SignedAlphabet query_alphabet;
+  query_alphabet.AddRelation("r");
+  const FlatNfa plan = CompileEvalPlan(
+      MustCompileRegex(MustParseRegex("r* | r^-"), query_alphabet));
+  const GraphDb graphs[] = {GraphDb(), GraphBuilder().Build(), *comment_only};
+  for (const GraphDb& db : graphs) {
+    EXPECT_EQ(db.NumNodes(), 0);
+    EXPECT_EQ(db.NumEdges(), 0);
+    EXPECT_TRUE(ValidateGraphDb(db, 0).ok());
+    EXPECT_TRUE(EvalRpqiAllPairs(db, plan).empty());
+    EXPECT_EQ(SaveGraphText(db, alphabet), "");
+    SignedAlphabet reloaded_alphabet;
+    StatusOr<GraphDb> reloaded =
+        ReloadThroughColumnar(db, alphabet, &reloaded_alphabet);
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+    EXPECT_EQ(reloaded->NumNodes(), 0);
+    EXPECT_EQ(reloaded->NumEdges(), 0);
+    EXPECT_TRUE(ValidateGraphDb(*reloaded, 0).ok());
+    EXPECT_EQ(SaveGraphText(*reloaded, reloaded_alphabet), "");
+    EXPECT_TRUE(
+        CheckGraphEquivalence(db, alphabet, *reloaded, reloaded_alphabet)
+            .ok());
+  }
 }
 
 }  // namespace

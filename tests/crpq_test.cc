@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <utility>
 
 #include "crpq/crpq.h"
 #include "graphdb/eval.h"
@@ -59,10 +60,12 @@ std::vector<std::vector<int>> BruteForceEval(const GraphDb& db,
 
 TEST(CrpqTest, SingleAtomReducesToRpqi) {
   Fixture f;
-  GraphDb db;
-  int x = db.AddNode("x"), y = db.AddNode("y"), z = db.AddNode("z");
-  db.AddEdge(x, 0, y);
-  db.AddEdge(y, 1, z);
+  GraphBuilder builder;
+  int x = builder.AddNode("x"), y = builder.AddNode("y"),
+      z = builder.AddNode("z");
+  builder.AddEdge(x, 0, y);
+  builder.AddEdge(y, 1, z);
+  GraphDb db = std::move(builder).Build();
 
   ConjunctiveRpqi query;
   query.num_variables = 2;
@@ -77,12 +80,13 @@ TEST(CrpqTest, TriangleJoinWithInverse) {
   // q(x, z) ← p(x, y), p(y, z), p⁻*(z, x): a p-path of length 2 that can
   // walk back to its start.
   Fixture f;
-  GraphDb db;
-  int a = db.AddNode("a"), b = db.AddNode("b"), c = db.AddNode("c");
-  int d = db.AddNode("d");
-  db.AddEdge(a, 0, b);
-  db.AddEdge(b, 0, c);
-  db.AddEdge(b, 0, d);
+  GraphBuilder builder;
+  int a = builder.AddNode("a"), b = builder.AddNode("b"),
+      c = builder.AddNode("c"), d = builder.AddNode("d");
+  builder.AddEdge(a, 0, b);
+  builder.AddEdge(b, 0, c);
+  builder.AddEdge(b, 0, d);
+  GraphDb db = std::move(builder).Build();
 
   ConjunctiveRpqi query;
   query.num_variables = 3;
@@ -101,11 +105,13 @@ TEST(CrpqTest, TriangleJoinWithInverse) {
 TEST(CrpqTest, SharedVariableConstrainsBothAtoms) {
   // q(y) ← p(x, y), q(x, y): y reachable from a common x by both relations.
   Fixture f;
-  GraphDb db;
-  int n0 = db.AddNode("n0"), n1 = db.AddNode("n1"), n2 = db.AddNode("n2");
-  db.AddEdge(n0, 0, n1);  // p
-  db.AddEdge(n0, 1, n1);  // q
-  db.AddEdge(n0, 0, n2);  // p only
+  GraphBuilder builder;
+  int n0 = builder.AddNode("n0"), n1 = builder.AddNode("n1"),
+      n2 = builder.AddNode("n2");
+  builder.AddEdge(n0, 0, n1);  // p
+  builder.AddEdge(n0, 1, n1);  // q
+  builder.AddEdge(n0, 0, n2);  // p only
+  GraphDb db = std::move(builder).Build();
   ConjunctiveRpqi query;
   query.num_variables = 2;
   query.atoms = {{0, f.Compile("p"), 1}, {0, f.Compile("q"), 1}};
@@ -117,10 +123,11 @@ TEST(CrpqTest, SharedVariableConstrainsBothAtoms) {
 
 TEST(CrpqTest, SelfLoopAtom) {
   Fixture f;
-  GraphDb db;
-  int a = db.AddNode("a"), b = db.AddNode("b");
-  db.AddEdge(a, 0, a);
-  db.AddEdge(a, 0, b);
+  GraphBuilder builder;
+  int a = builder.AddNode("a"), b = builder.AddNode("b");
+  builder.AddEdge(a, 0, a);
+  builder.AddEdge(a, 0, b);
+  GraphDb db = std::move(builder).Build();
   ConjunctiveRpqi query;
   query.num_variables = 1;
   query.atoms = {{0, f.Compile("p"), 0}};
@@ -132,14 +139,16 @@ TEST(CrpqTest, SelfLoopAtom) {
 
 TEST(CrpqTest, BooleanQueries) {
   Fixture f;
-  GraphDb db;
-  int a = db.AddNode("a"), b = db.AddNode("b");
-  db.AddEdge(a, 0, b);
+  GraphBuilder builder;
+  int a = builder.AddNode("a"), b = builder.AddNode("b");
+  builder.AddEdge(a, 0, b);
+  GraphDb db = GraphBuilder(builder).Build();
   ConjunctiveRpqi query;
   query.num_variables = 2;
   query.atoms = {{0, f.Compile("p p"), 1}};
   EXPECT_FALSE(CrpqSatisfiable(db, query));
-  db.AddEdge(b, 0, a);
+  builder.AddEdge(b, 0, a);
+  db = std::move(builder).Build();
   EXPECT_TRUE(CrpqSatisfiable(db, query));
   // Boolean evaluation yields the empty tuple once satisfiable.
   auto results = EvalCrpq(db, query);
@@ -158,7 +167,7 @@ TEST(CrpqTest, MatchesBruteForceOnRandomInstances) {
     RandomGraphOptions graph_options;
     graph_options.num_nodes = 4;
     graph_options.num_relations = 2;
-    GraphDb db = RandomGraph(rng, graph_options);
+    GraphDb db = RandomGraph(rng, graph_options).Build();
 
     ConjunctiveRpqi query;
     query.num_variables = 2 + static_cast<int>(rng() % 2);
@@ -190,9 +199,10 @@ TEST(CrpqTest, MatchesBruteForceOnRandomInstances) {
 
 TEST(CrpqTest, FreeDistinguishedVariablesRangeOverAllNodes) {
   Fixture f;
-  GraphDb db;
-  int a = db.AddNode("a"), b = db.AddNode("b");
-  db.AddEdge(a, 0, b);
+  GraphBuilder builder;
+  int a = builder.AddNode("a"), b = builder.AddNode("b");
+  builder.AddEdge(a, 0, b);
+  GraphDb db = std::move(builder).Build();
   ConjunctiveRpqi query;
   query.num_variables = 2;  // variable 1 appears in no atom
   query.atoms = {{0, f.Compile("p"), 0}};  // unsatisfiable self-loop...

@@ -33,18 +33,19 @@ namespace rpqi {
 namespace {
 
 /// Independent reference: product BFS straight over the Nfa's per-state
-/// transition vectors (ε removed up front), row-scan adjacency only. This is
-/// the pre-flat evaluator, re-stated; the fuzz tests below hold the FlatNfa
-/// path to byte-for-byte agreement with it.
-std::vector<std::pair<int, int>> ReferenceAllPairs(const GraphDb& db,
+/// transition vectors (ε removed up front), scanning the (from, relation, to)
+/// list the graph is built from rather than its label index. The fuzz tests
+/// below hold the kernel — FlatNfa spans against CSR spans — to
+/// byte-for-byte agreement with it.
+std::vector<std::pair<int, int>> ReferenceAllPairs(const GraphBuilder& graph,
                                                    const Nfa& input) {
   const Nfa nfa =
       input.HasEpsilonTransitions() ? RemoveEpsilon(input) : input;
   const int num_states = nfa.NumStates();
+  const int num_nodes = graph.NumNodes();
   std::vector<std::pair<int, int>> answer;
-  for (int start = 0; start < db.NumNodes(); ++start) {
-    std::vector<char> visited(
-        static_cast<size_t>(db.NumNodes()) * num_states, 0);
+  for (int start = 0; start < num_nodes; ++start) {
+    std::vector<char> visited(static_cast<size_t>(num_nodes) * num_states, 0);
     std::vector<std::pair<int, int>> stack;
     auto visit = [&](int state, int node) {
       size_t index = static_cast<size_t>(node) * num_states + state;
@@ -61,18 +62,15 @@ std::vector<std::pair<int, int>> ReferenceAllPairs(const GraphDb& db,
       stack.pop_back();
       for (const Nfa::Transition& t : nfa.TransitionsFrom(state)) {
         int relation = SignedAlphabet::RelationOfSymbol(t.symbol);
-        if (SignedAlphabet::IsInverseSymbol(t.symbol)) {
-          for (const GraphDb::Edge& e : db.InEdges(node)) {
-            if (e.relation == relation) visit(t.to, e.to);
-          }
-        } else {
-          for (const GraphDb::Edge& e : db.OutEdges(node)) {
-            if (e.relation == relation) visit(t.to, e.to);
-          }
+        bool inverse = SignedAlphabet::IsInverseSymbol(t.symbol);
+        for (const GraphBuilder::Edge& e : graph.edges()) {
+          if (e.relation != relation) continue;
+          if (!inverse && e.from == node) visit(t.to, e.to);
+          if (inverse && e.to == node) visit(t.to, e.from);
         }
       }
     }
-    for (int node = 0; node < db.NumNodes(); ++node) {
+    for (int node = 0; node < num_nodes; ++node) {
       for (int s = 0; s < num_states; ++s) {
         if (nfa.IsAccepting(s) &&
             visited[static_cast<size_t>(node) * num_states + s]) {
@@ -208,9 +206,9 @@ TEST(FlatNfaTest, CompiledPlansAlwaysValidate) {
   }
 }
 
-// The differential fuzz the eval rewire rests on: flat-plan evaluation must
-// agree bit-for-bit with the direct-Nfa reference, on both adjacency paths
-// (row scan and the CSR label index).
+// The differential fuzz the eval kernel rests on: flat-plan evaluation over
+// the built label index must agree bit-for-bit with the direct-Nfa reference
+// over the builder's edge list.
 TEST(FlatEvalDifferentialTest, FlatMatchesNfaReferenceOnRandomInputs) {
   std::mt19937_64 rng(977);
   for (int round = 0; round < 40; ++round) {
@@ -218,7 +216,7 @@ TEST(FlatEvalDifferentialTest, FlatMatchesNfaReferenceOnRandomInputs) {
     graph_options.num_nodes = 2 + static_cast<int>(rng() % 14);
     graph_options.num_relations = 1 + static_cast<int>(rng() % 3);
     graph_options.average_out_degree = 0.5 + (rng() % 30) / 10.0;
-    GraphDb db = RandomGraph(rng, graph_options);
+    GraphBuilder builder = RandomGraph(rng, graph_options);
 
     RandomAutomatonOptions nfa_options;
     nfa_options.num_states = 1 + static_cast<int>(rng() % 8);
@@ -230,22 +228,14 @@ TEST(FlatEvalDifferentialTest, FlatMatchesNfaReferenceOnRandomInputs) {
       query.AddTransition(0, kEpsilon, query.NumStates() - 1);
     }
 
-    std::vector<std::pair<int, int>> expected = ReferenceAllPairs(db, query);
+    std::vector<std::pair<int, int>> expected =
+        ReferenceAllPairs(builder, query);
     const FlatNfa plan = CompileFlat(query);
-
-    // Scan path.
-    StatusOr<std::vector<std::pair<int, int>>> scan =
+    const GraphDb db = std::move(builder).Build();
+    StatusOr<std::vector<std::pair<int, int>>> got =
         EvalRpqiAllPairsWithBudget(db, plan, nullptr);
-    ASSERT_TRUE(scan.ok());
-    EXPECT_EQ(*scan, expected) << "scan path, round " << round;
-
-    // CSR path over the same rows.
-    db.BuildLabelIndex(graph_options.num_relations);
-    ASSERT_TRUE(db.has_label_index());
-    StatusOr<std::vector<std::pair<int, int>>> csr =
-        EvalRpqiAllPairsWithBudget(db, plan, nullptr);
-    ASSERT_TRUE(csr.ok());
-    EXPECT_EQ(*csr, expected) << "csr path, round " << round;
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, expected) << "round " << round;
 
     // And the unbudgeted form agrees.
     EXPECT_EQ(EvalRpqiAllPairs(db, CompileEvalPlan(query)), expected);
@@ -261,7 +251,7 @@ TEST(FlatEvalDifferentialTest, DecodedPlanEvaluatesIdentically) {
     RandomGraphOptions graph_options;
     graph_options.num_nodes = 2 + static_cast<int>(rng() % 10);
     graph_options.num_relations = 1 + static_cast<int>(rng() % 2);
-    GraphDb db = RandomGraph(rng, graph_options);
+    GraphDb db = RandomGraph(rng, graph_options).Build();
     RandomAutomatonOptions nfa_options;
     nfa_options.num_states = 1 + static_cast<int>(rng() % 6);
     nfa_options.num_symbols = 2 * graph_options.num_relations;
@@ -298,7 +288,7 @@ TEST(FlatEvalDifferentialTest, AllPairsCompilesOncePerQuery) {
     RandomGraphOptions graph_options;
     graph_options.num_nodes = num_nodes;
     graph_options.num_relations = 1;
-    GraphDb db = RandomGraph(rng, graph_options);
+    GraphDb db = RandomGraph(rng, graph_options).Build();
     obs::MetricsSnapshot before = obs::TakeMetricsSnapshot();
     StatusOr<std::vector<std::pair<int, int>>> result =
         EvalRpqiAllPairsWithBudget(db, CompileEvalPlan(query), nullptr);
@@ -364,7 +354,8 @@ TEST(EvalPlanCompileTest, MaterializersCompileEachDefinitionOnce) {
   std::mt19937_64 rng(12);
   RandomGraphOptions graph_options;
   graph_options.num_nodes = 12;
-  GraphDb db = RandomGraph(rng, graph_options);
+  GraphBuilder builder = RandomGraph(rng, graph_options);
+  const GraphDb db = GraphBuilder(builder).Build();
 
   AnsweringInstance instance;
   instance.num_objects = 2;
@@ -387,7 +378,8 @@ TEST(EvalPlanCompileTest, MaterializersCompileEachDefinitionOnce) {
   delta = obs::TakeMetricsSnapshot().DeltaSince(before);
   EXPECT_EQ(delta.CounterValue("eval.plan_compiles"), 1);
   EXPECT_EQ(delta.CounterValue("eval.bfs_runs"), db.NumNodes());
-  EXPECT_EQ(extension, ReferenceAllPairs(db, instance.views[2].definition));
+  EXPECT_EQ(extension,
+            ReferenceAllPairs(builder, instance.views[2].definition));
 
   ConjunctiveRpqi crpq;
   crpq.num_variables = 3;
@@ -450,14 +442,15 @@ TEST(EvalScratchTest, ReuseAcrossPlansWithDifferentStateCounts) {
   graph_options.num_nodes = 14;
   graph_options.num_relations = 2;
   graph_options.average_out_degree = 2.0;
-  GraphDb db = RandomGraph(rng, graph_options);
+  GraphBuilder builder = RandomGraph(rng, graph_options);
+  const GraphDb db = GraphBuilder(builder).Build();
   EvalScratch shared;
   for (int num_states : {6, 1, 9, 3, 8, 2, 7}) {
     Nfa query = RandomQuery(rng, num_states, graph_options.num_relations);
     const FlatNfa plan = CompileFlat(query);
     SweepResult reused = Sweep(db, plan, &shared);
     SweepResult fresh = Sweep(db, plan, nullptr);
-    EXPECT_EQ(reused.answers, ReferenceAllPairs(db, query))
+    EXPECT_EQ(reused.answers, ReferenceAllPairs(builder, query))
         << num_states << " states";
     EXPECT_EQ(reused.answers, fresh.answers) << num_states << " states";
     EXPECT_EQ(reused.configurations, fresh.configurations)
@@ -465,8 +458,8 @@ TEST(EvalScratchTest, ReuseAcrossPlansWithDifferentStateCounts) {
   }
 }
 
-// One scratch reused across graphs that grow and shrink, on both adjacency
-// paths, and across every start node of each.
+// One scratch reused across graphs that grow and shrink, and across every
+// start node of each.
 TEST(EvalScratchTest, ReuseAcrossGraphsAndStartNodes) {
   std::mt19937_64 rng(77);
   EvalScratch shared;
@@ -475,12 +468,13 @@ TEST(EvalScratchTest, ReuseAcrossGraphsAndStartNodes) {
     graph_options.num_nodes = num_nodes;
     graph_options.num_relations = 2;
     graph_options.average_out_degree = 1.5;
-    GraphDb db = RandomGraph(rng, graph_options);
-    if (num_nodes % 2 == 0) db.BuildLabelIndex(graph_options.num_relations);
+    GraphBuilder builder = RandomGraph(rng, graph_options);
     Nfa query = RandomQuery(rng, 1 + static_cast<int>(rng() % 6),
                             graph_options.num_relations);
     const FlatNfa plan = CompileFlat(query);
-    std::vector<std::pair<int, int>> expected = ReferenceAllPairs(db, query);
+    std::vector<std::pair<int, int>> expected =
+        ReferenceAllPairs(builder, query);
+    const GraphDb db = std::move(builder).Build();
     SweepResult reused = Sweep(db, plan, &shared);
     EXPECT_EQ(reused.answers, expected) << num_nodes << " nodes";
     EXPECT_EQ(reused.configurations, Sweep(db, plan, nullptr).configurations);
@@ -513,8 +507,9 @@ TEST(EvalScratchTest, ReuseAcrossAnEpochWrap) {
   graph_options.num_nodes = 6;
   graph_options.num_relations = 1;
   graph_options.average_out_degree = 2.0;
-  GraphDb db = RandomGraph(rng, graph_options);
-  const int isolated = db.AddNode("isolated");
+  GraphBuilder builder = RandomGraph(rng, graph_options);
+  const int isolated = builder.AddNode("isolated");
+  const GraphDb db = std::move(builder).Build();
   SignedAlphabet alphabet;
   alphabet.AddRelation("r");
   const FlatNfa plan = CompileFlat(MustCompileRegex("(r | r^-)*", &alphabet));
@@ -551,14 +546,15 @@ TEST(EvalScratchTest, ReuseAfterABudgetFailureMidBfs) {
   graph_options.num_nodes = 20;
   graph_options.num_relations = 2;
   graph_options.average_out_degree = 2.5;
-  GraphDb db = RandomGraph(rng, graph_options);
+  GraphBuilder builder = RandomGraph(rng, graph_options);
   SignedAlphabet alphabet;
   alphabet.AddRelation("r0");
   alphabet.AddRelation("r1");
   Nfa query = MustCompileRegex("(r0 | r1^- | r1)*", &alphabet);
   const FlatNfa plan = CompileFlat(query);
-  const int isolated = db.AddNode("isolated");
-  std::vector<std::pair<int, int>> expected = ReferenceAllPairs(db, query);
+  const int isolated = builder.AddNode("isolated");
+  std::vector<std::pair<int, int>> expected = ReferenceAllPairs(builder, query);
+  const GraphDb db = std::move(builder).Build();
   SweepResult fresh = Sweep(db, plan, nullptr);
   ASSERT_EQ(fresh.answers, expected);
   SourceResult alone = FromSource(db, plan, isolated, nullptr);

@@ -4,6 +4,7 @@
 #include <random>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "automata/random.h"
@@ -23,28 +24,71 @@ namespace rpqi {
 namespace {
 
 TEST(GraphDbTest, NodesAndEdges) {
-  GraphDb db;
-  int x = db.AddNode("x");
-  int y = db.AddNode("y");
-  EXPECT_EQ(db.AddNode("x"), x);  // interning
-  db.AddEdge(x, 0, y);
+  GraphBuilder builder;
+  int x = builder.AddNode("x");
+  int y = builder.AddNode("y");
+  EXPECT_EQ(builder.AddNode("x"), x);  // interning
+  builder.AddEdge(x, 0, y);
+  GraphDb db = std::move(builder).Build();
   EXPECT_TRUE(db.HasEdge(x, 0, y));
   EXPECT_FALSE(db.HasEdge(y, 0, x));
   EXPECT_EQ(db.NumNodes(), 2);
   EXPECT_EQ(db.NumEdges(), 1);
-  EXPECT_EQ(db.OutEdges(x).size(), 1u);
-  EXPECT_EQ(db.InEdges(y).size(), 1u);
+  EXPECT_EQ(db.OutTargets(x, 0).size(), 1u);
+  EXPECT_EQ(db.InTargets(y, 0).size(), 1u);
   EXPECT_EQ(db.NodeName(y), "y");
   EXPECT_EQ(db.NodeId("z"), -1);
+}
+
+// Build() files every edge of the builder's list under its (node, relation)
+// span in both directions, duplicates included, and nothing else.
+TEST(GraphBuilderTest, BuildIndexesEveryEdgeInBothDirections) {
+  std::mt19937_64 rng(19);
+  for (int trial = 0; trial < 20; ++trial) {
+    RandomGraphOptions options;
+    options.num_nodes = 1 + static_cast<int>(rng() % 12);
+    options.num_relations = 1 + static_cast<int>(rng() % 4);
+    options.average_out_degree = (rng() % 40) / 10.0;
+    GraphBuilder builder = RandomGraph(rng, options);
+    if (trial % 4 == 0) builder.AddEdge(0, 0, builder.NumNodes() - 1);
+    const std::vector<GraphBuilder::Edge> edges = builder.edges();
+    const GraphDb db = std::move(builder).Build();
+    ASSERT_EQ(db.NumNodes(), options.num_nodes);
+    ASSERT_EQ(db.NumEdges(), static_cast<int64_t>(edges.size()));
+    int relations = 0;
+    for (const GraphBuilder::Edge& e : edges) {
+      relations = std::max(relations, e.relation + 1);
+      EXPECT_TRUE(db.HasEdge(e.from, e.relation, e.to));
+    }
+    EXPECT_EQ(db.label_csr().num_relations, relations);
+    for (int node = 0; node < db.NumNodes(); ++node) {
+      for (int r = 0; r <= relations; ++r) {
+        std::vector<uint32_t> out, in;
+        for (const GraphBuilder::Edge& e : edges) {
+          if (e.relation != r) continue;
+          if (e.from == node) out.push_back(static_cast<uint32_t>(e.to));
+          if (e.to == node) in.push_back(static_cast<uint32_t>(e.from));
+        }
+        std::sort(out.begin(), out.end());
+        std::sort(in.begin(), in.end());
+        EXPECT_TRUE(std::ranges::equal(db.OutTargets(node, r), out))
+            << "trial " << trial << " node " << node << " relation " << r;
+        EXPECT_TRUE(std::ranges::equal(db.InTargets(node, r), in))
+            << "trial " << trial << " node " << node << " relation " << r;
+      }
+    }
+  }
 }
 
 TEST(EvalTest, ForwardAndInverseTraversal) {
   SignedAlphabet alphabet;
   alphabet.AddRelation("p");
-  GraphDb db;
-  int x = db.AddNode("x"), y = db.AddNode("y"), z = db.AddNode("z");
-  db.AddEdge(x, 0, y);
-  db.AddEdge(z, 0, y);
+  GraphBuilder builder;
+  int x = builder.AddNode("x"), y = builder.AddNode("y"),
+      z = builder.AddNode("z");
+  builder.AddEdge(x, 0, y);
+  builder.AddEdge(z, 0, y);
+  GraphDb db = std::move(builder).Build();
 
   Nfa forward = MustCompileRegex(MustParseRegex("p"), alphabet);
   EXPECT_TRUE(EvalRpqiPair(db, CompileEvalPlan(forward), x, y));
@@ -61,18 +105,19 @@ TEST(EvalTest, Example1VisibilitySemantics) {
   // The paper's Example 1: x is visible in m if x is reachable by
   // (hasSubmodule⁻)* (containsVar ∪ hasSubmodule).
   SignedAlphabet alphabet;
-  GraphDb db;
-  int root = db.AddNode("root");
-  int child = db.AddNode("child");
-  int grandchild = db.AddNode("grandchild");
-  int v_root = db.AddNode("v_root");
-  int v_child = db.AddNode("v_child");
+  GraphBuilder builder;
+  int root = builder.AddNode("root");
+  int child = builder.AddNode("child");
+  int grandchild = builder.AddNode("grandchild");
+  int v_root = builder.AddNode("v_root");
+  int v_child = builder.AddNode("v_child");
   int has_submodule = alphabet.AddRelation("hasSubmodule");
   int contains_var = alphabet.AddRelation("containsVar");
-  db.AddEdge(root, has_submodule, child);
-  db.AddEdge(child, has_submodule, grandchild);
-  db.AddEdge(root, contains_var, v_root);
-  db.AddEdge(child, contains_var, v_child);
+  builder.AddEdge(root, has_submodule, child);
+  builder.AddEdge(child, has_submodule, grandchild);
+  builder.AddEdge(root, contains_var, v_root);
+  builder.AddEdge(child, contains_var, v_child);
+  GraphDb db = std::move(builder).Build();
 
   Nfa query = MustCompileRegex(
       MustParseRegex("(hasSubmodule^-)* (containsVar | hasSubmodule)"),
@@ -95,7 +140,7 @@ TEST(EvalTest, AllPairsConsistentWithPerPair) {
   RandomGraphOptions options;
   options.num_nodes = 8;
   options.num_relations = 2;
-  GraphDb db = RandomGraph(rng, options);
+  GraphDb db = RandomGraph(rng, options).Build();
   SignedAlphabet alphabet;
   alphabet.AddRelation("r0");
   alphabet.AddRelation("r1");
@@ -122,19 +167,20 @@ TEST(EvalTest, LineDbAgreesWithWordSatisfaction) {
     for (int trial = 0; trial < 10; ++trial) {
       std::vector<int> word = RandomWord(rng, 4, len);
       // Build the line database of the word.
-      GraphDb db;
-      int first = db.AddNode("n0");
+      GraphBuilder builder;
+      int first = builder.AddNode("n0");
       int prev = first;
       for (size_t i = 0; i < word.size(); ++i) {
-        int next = db.AddNode("n" + std::to_string(i + 1));
+        int next = builder.AddNode("n" + std::to_string(i + 1));
         int relation = SignedAlphabet::RelationOfSymbol(word[i]);
         if (SignedAlphabet::IsInverseSymbol(word[i])) {
-          db.AddEdge(next, relation, prev);
+          builder.AddEdge(next, relation, prev);
         } else {
-          db.AddEdge(prev, relation, next);
+          builder.AddEdge(prev, relation, next);
         }
         prev = next;
       }
+      GraphDb db = std::move(builder).Build();
       EXPECT_EQ(EvalRpqiPair(db, CompileEvalPlan(query), first, prev),
                 WordSatisfies(query, word));
     }
@@ -239,13 +285,13 @@ TEST(ViewsTest, ViewGraphEvaluation) {
 
 TEST(GeneratorsTest, ShapesAreAsAdvertised) {
   std::mt19937_64 rng(53);
-  GraphDb chain = ChainGraph(rng, 5, 2);
+  GraphDb chain = ChainGraph(rng, 5, 2).Build();
   EXPECT_EQ(chain.NumNodes(), 5);
   EXPECT_EQ(chain.NumEdges(), 4);
-  GraphDb tree = RandomTree(rng, 10, 1);
+  GraphDb tree = RandomTree(rng, 10, 1).Build();
   EXPECT_EQ(tree.NumEdges(), 9);
   for (int node = 1; node < 10; ++node) {
-    EXPECT_EQ(tree.InEdges(node).size(), 1u);  // single parent
+    EXPECT_EQ(tree.InTargets(node, 0).size(), 1u);  // single parent
   }
 }
 
@@ -284,16 +330,17 @@ TEST(MaskDbTest, EvaluatorMatchesGraphDbKernel) {
   std::mt19937_64 rng(61);
   constexpr int kRelations = 2;
   for (int n : {1, 63, 64, 65, 130}) {
-    GraphDb graph;
+    GraphBuilder builder;
     MaskDb masks(n, kRelations);
-    for (int i = 0; i < n; ++i) graph.AddNode(std::to_string(i));
+    for (int i = 0; i < n; ++i) builder.AddNode(std::to_string(i));
     for (int e = 0; e < 2 * n; ++e) {
       int from = static_cast<int>(rng() % n);
       int relation = static_cast<int>(rng() % kRelations);
       int to = static_cast<int>(rng() % n);
-      graph.AddEdge(from, relation, to);
+      builder.AddEdge(from, relation, to);
       masks.AddEdge(from, relation, to);
     }
+    const GraphDb graph = std::move(builder).Build();
 
     // Random plans over three relations: symbols 4 and 5 name a relation
     // past the masks' two, which has no edges on either side.

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <iterator>
 #include <random>
+#include <utility>
 
 #include "answer/cda.h"
 #include "automata/dfa.h"
@@ -166,11 +167,13 @@ TEST_P(SeededProperty, EvaluationIsMonotoneInEdges) {
   RandomGraphOptions options;
   options.num_nodes = 6;
   options.num_relations = 2;
-  GraphDb db = RandomGraph(rng_, options);
-  auto before = EvalRpqiAllPairs(db, CompileEvalPlan(query));
-  std::uniform_int_distribution<int> pick(0, db.NumNodes() - 1);
-  db.AddEdge(pick(rng_), 0, pick(rng_));
-  auto after = EvalRpqiAllPairs(db, CompileEvalPlan(query));
+  GraphBuilder builder = RandomGraph(rng_, options);
+  auto before =
+      EvalRpqiAllPairs(GraphBuilder(builder).Build(), CompileEvalPlan(query));
+  std::uniform_int_distribution<int> pick(0, builder.NumNodes() - 1);
+  builder.AddEdge(pick(rng_), 0, pick(rng_));
+  auto after =
+      EvalRpqiAllPairs(std::move(builder).Build(), CompileEvalPlan(query));
   for (const auto& pair : before) {
     EXPECT_TRUE(std::find(after.begin(), after.end(), pair) != after.end());
   }
@@ -183,7 +186,7 @@ TEST_P(SeededProperty, EvaluationDistributesOverUnion) {
   RandomGraphOptions options;
   options.num_nodes = 5;
   options.num_relations = 2;
-  GraphDb db = RandomGraph(rng_, options);
+  GraphDb db = RandomGraph(rng_, options).Build();
   auto union_answers = EvalRpqiAllPairs(db, CompileEvalPlan(UnionNfa(e1, e2)));
   auto a1 = EvalRpqiAllPairs(db, CompileEvalPlan(e1));
   auto a2 = EvalRpqiAllPairs(db, CompileEvalPlan(e2));
@@ -200,7 +203,7 @@ TEST_P(SeededProperty, EvaluationComposesOverConcat) {
   RandomGraphOptions options;
   options.num_nodes = 5;
   options.num_relations = 2;
-  GraphDb db = RandomGraph(rng_, options);
+  GraphDb db = RandomGraph(rng_, options).Build();
   auto concat_answers = EvalRpqiAllPairs(db, CompileEvalPlan(Concat(e1, e2)));
   auto a1 = EvalRpqiAllPairs(db, CompileEvalPlan(e1));
   auto a2 = EvalRpqiAllPairs(db, CompileEvalPlan(e2));

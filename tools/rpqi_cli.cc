@@ -619,18 +619,11 @@ StatusOr<int> CmdCompact(const FlagMap& flags) {
       input_is_binary = true;
       RPQI_ASSIGN_OR_RETURN(ColumnarParts parts, OpenColumnarFile(in_path));
       fingerprint = parts.fingerprint;
-      std::vector<int> relation_ids;
-      relation_ids.reserve(parts.num_relations);
-      for (int r = 0; r < parts.num_relations; ++r) {
-        relation_ids.push_back(
-            alphabet.AddRelation(std::string(parts.RelationName(r))));
-      }
-      db = MakeColumnarGraphDb(parts, relation_ids, alphabet.NumRelations());
+      db = MakeColumnarGraphDb(parts, &alphabet);
     } else {
       GraphTextLimits limits;
       limits.source_name = in_path;
       RPQI_ASSIGN_OR_RETURN(db, LoadGraphText(bytes, &alphabet, limits));
-      db.BuildLabelIndex(alphabet.NumRelations());
       fingerprint = FingerprintGraphText(bytes);
     }
     RPQI_RETURN_IF_ERROR(ValidateGraphDb(db, alphabet.NumRelations()));
@@ -670,14 +663,7 @@ StatusOr<int> CmdCompact(const FlagMap& flags) {
     } else {
       RPQI_ASSIGN_OR_RETURN(ColumnarParts parts, OpenColumnarFile(out_path));
       reloaded_fingerprint = parts.fingerprint;
-      std::vector<int> relation_ids;
-      relation_ids.reserve(parts.num_relations);
-      for (int r = 0; r < parts.num_relations; ++r) {
-        relation_ids.push_back(reloaded_alphabet.AddRelation(
-            std::string(parts.RelationName(r))));
-      }
-      reloaded = MakeColumnarGraphDb(parts, relation_ids,
-                                     reloaded_alphabet.NumRelations());
+      reloaded = MakeColumnarGraphDb(parts, &reloaded_alphabet);
     }
     RPQI_RETURN_IF_ERROR(
         ValidateGraphDb(reloaded, reloaded_alphabet.NumRelations()));
