@@ -62,10 +62,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", rewriting.status().ToString().c_str());
     return 1;
   }
+  StatusOr<bool> exact =
+      IsExactRewriting(query, views, rewriting->dfa, /*budget=*/nullptr);
+  if (!exact.ok()) {
+    std::fprintf(stderr, "%s\n", exact.status().ToString().c_str());
+    return 1;
+  }
   std::printf("rewriting over views {up, downOrVar}: %s (%s)\n",
               RewritingToString(rewriting->dfa, scenario.view_names).c_str(),
-              IsExactRewriting(query, views, rewriting->dfa) ? "exact"
-                                                             : "maximal");
+              *exact ? "exact" : "maximal");
 
   std::vector<std::vector<std::pair<int, int>>> extensions;
   for (const Nfa& view : views) {

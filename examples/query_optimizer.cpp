@@ -81,8 +81,16 @@ int main(int argc, char** argv) {
       extensions.push_back(EvalRpqiAllPairs(db, CompileEvalPlan(view)));
       view_edges += static_cast<int>(extensions.back().size());
     }
-    bool exact = !rewriting->empty &&
-                 IsExactRewriting(query, views, rewriting->dfa);
+    bool exact = false;
+    if (!rewriting->empty) {
+      StatusOr<bool> checked =
+          IsExactRewriting(query, views, rewriting->dfa, /*budget=*/nullptr);
+      if (!checked.ok()) {
+        std::fprintf(stderr, "%s\n", checked.status().ToString().c_str());
+        return 1;
+      }
+      exact = *checked;
+    }
     auto from_views =
         EvaluateRewriting(rewriting->dfa, db.NumNodes(), extensions);
 

@@ -61,10 +61,15 @@ int main() {
   }
   std::printf("maximal rewriting: %s\n",
               RewritingToString(rewriting->dfa, view_names).c_str());
+  StatusOr<bool> exact =
+      IsExactRewriting(query, views, rewriting->dfa, /*budget=*/nullptr);
+  if (!exact.ok()) {
+    std::fprintf(stderr, "%s\n", exact.status().ToString().c_str());
+    return 1;
+  }
   std::printf("rewriting is %s\n",
-              IsExactRewriting(query, views, rewriting->dfa)
-                  ? "EXACT (equivalent to the query on every database)"
-                  : "maximal but not exact");
+              *exact ? "EXACT (equivalent to the query on every database)"
+                     : "maximal but not exact");
   std::printf("pipeline sizes: |A1|=%d two-way states, %lld lazy A2 states, "
               "|A2∩A3|=%d, |A4|=%d, |R|=%d\n",
               rewriting->stats.a1_states,

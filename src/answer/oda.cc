@@ -86,16 +86,17 @@ bool DfaLanguageEmpty(const Dfa& dfa) {
 /// Pairwise intersection with intermediate minimization: keeps every
 /// intermediate automaton near its minimal size, which beats a flat BFS over
 /// the k-way product by orders of magnitude when the intersection is empty.
+/// Each pairwise product is capped at `max_states` and charged to `budget`.
 StatusOr<Dfa> FoldIntersection(const Dfa& first,
                                const std::vector<const Dfa*>& rest,
-                               int64_t budget) {
+                               int64_t max_states, Budget* budget) {
   Dfa accumulated = first;
   for (const Dfa* part : rest) {
     if (DfaLanguageEmpty(accumulated)) break;  // intersection already empty
     LazyDfaFromDfa lhs(accumulated);
     LazyDfaFromDfa rhs(*part);
     LazyProductDfa product({&lhs, &rhs});
-    StatusOr<Dfa> merged = MaterializeLazyDfa(&product, budget);
+    StatusOr<Dfa> merged = MaterializeLazyDfa(&product, max_states, budget);
     if (!merged.ok()) return merged.status();
     accumulated = Minimize(*merged);
   }
@@ -124,7 +125,6 @@ struct OdaSolver::Impl {
   bool context_attempted = false;
   std::optional<Dfa> view_context;
   std::vector<LazyDfa*> leftovers;
-  Status build_status;
 
   Impl(const AnsweringInstance& raw, const OdaOptions& options_in)
       : instance(NormalizeCompleteViews(raw)), options(options_in) {
@@ -172,35 +172,42 @@ struct OdaSolver::Impl {
   /// them into one context DFA. Runs at most once; the result is shared by
   /// every later probe, so the cost amortizes exactly as before — it is just
   /// no longer paid by solvers whose probes all resolve in the lazy phase.
-  void EnsureViewContext() {
-    if (context_attempted) return;
-    context_attempted = true;
+  /// Every materialization and fold is charged to options.budget. A part
+  /// over part_materialize_budget stays lazy and a fold over max_states
+  /// leaves no context, but a budget failure is returned, and the next
+  /// probe tries again (and fails at once: budgets are sticky).
+  Status EnsureViewContext() {
+    if (context_attempted) return Status::Ok();
     std::vector<Dfa> minimized;
+    std::vector<LazyDfa*> lazy_parts;
     for (auto& lazy : lazies) {
-      bool ok = false;
       if (options.part_materialize_budget > 0) {
-        StatusOr<Dfa> dfa =
-            MaterializeLazyDfa(lazy.get(), options.part_materialize_budget);
+        StatusOr<Dfa> dfa = MaterializeLazyDfa(
+            lazy.get(), options.part_materialize_budget, options.budget);
         if (dfa.ok()) {
           minimized.push_back(Minimize(*dfa));
-          ok = true;
+          continue;
         }
+        RPQI_RETURN_IF_ERROR(BudgetCheck(options.budget));
       }
-      if (!ok) leftovers.push_back(lazy.get());
+      lazy_parts.push_back(lazy.get());
     }
     if (!minimized.empty()) {
       std::vector<const Dfa*> rest;
       for (size_t i = 1; i < minimized.size(); ++i) {
         rest.push_back(&minimized[i]);
       }
-      StatusOr<Dfa> folded =
-          FoldIntersection(minimized[0], rest, options.max_states);
+      StatusOr<Dfa> folded = FoldIntersection(
+          minimized[0], rest, options.max_states, options.budget);
       if (folded.ok()) {
         view_context = std::move(folded).value();
       } else {
-        build_status = folded.status();
+        RPQI_RETURN_IF_ERROR(BudgetCheck(options.budget));
       }
     }
+    leftovers = std::move(lazy_parts);
+    context_attempted = true;
+    return Status::Ok();
   }
 
   /// Runs one probe. `complement_query` selects certain-answer search
@@ -256,12 +263,10 @@ struct OdaSolver::Impl {
       if (quick.outcome != EmptinessResult::Outcome::kLimitExceeded) {
         return Finish(c, d, complement_query, std::move(quick));
       }
-      // A deadline/cancellation is terminal; only a state-cap overflow falls
-      // through to the exact phase.
-      if (quick.status.code() == Status::Code::kDeadlineExceeded ||
-          quick.status.code() == Status::Code::kCancelled) {
-        return quick.status;
-      }
+      // A budget failure (deadline, cancellation, quota) is terminal, and
+      // sticky; only an overflow of the phase's own cap falls through to the
+      // exact phase.
+      RPQI_RETURN_IF_ERROR(BudgetCheck(options.budget));
       overflows.Increment();
       carried_explored = quick.states_explored;
       carried_pruned = quick.states_pruned;
@@ -270,7 +275,7 @@ struct OdaSolver::Impl {
     // Phase 2: fold the query component into the view context and decide
     // exactly (required for the certain/exhaustion direction).
     obs::Span phase_span("answer.ODA.phase2");
-    EnsureViewContext();
+    RPQI_RETURN_IF_ERROR(EnsureViewContext());
     std::optional<Dfa> final_dfa;
     std::vector<LazyDfa*> product_parts;
     std::unique_ptr<LazyDfaFromDfa> context_lazy;
@@ -279,9 +284,14 @@ struct OdaSolver::Impl {
           &query_lazy, options.part_materialize_budget, options.budget);
       if (query_dfa.ok()) {
         Dfa minimized = Minimize(*query_dfa);
-        StatusOr<Dfa> folded =
-            FoldIntersection(*view_context, {&minimized}, options.max_states);
+        StatusOr<Dfa> folded = FoldIntersection(
+            *view_context, {&minimized}, options.max_states, options.budget);
         if (folded.ok()) final_dfa = std::move(folded).value();
+      }
+      // Past a budget failure only an overflow falls through to the flat
+      // product below.
+      if (!final_dfa.has_value()) {
+        RPQI_RETURN_IF_ERROR(BudgetCheck(options.budget));
       }
     }
 
@@ -314,10 +324,7 @@ struct OdaSolver::Impl {
       emptiness = FindAcceptedWord(&product, options.max_states,
                                    options.budget);
       if (emptiness.outcome == EmptinessResult::Outcome::kLimitExceeded) {
-        if (!emptiness.status.ok() &&
-            emptiness.status.code() != Status::Code::kResourceExhausted) {
-          return emptiness.status;
-        }
+        RPQI_RETURN_IF_ERROR(BudgetCheck(options.budget));
         return Status::ResourceExhausted("A_ODA emptiness exceeded " +
                                          std::to_string(options.max_states) +
                                          " states");

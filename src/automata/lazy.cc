@@ -74,6 +74,10 @@ bool LazySubsetDfa::IsAccepting(int state) {
   return accepting_[state] != complement_;
 }
 
+bool LazySubsetDfa::IsDead(int state) {
+  return !complement_ && subsets_[state].None();
+}
+
 bool LazySubsetDfa::Subsumes(int state, int other) {
   const Bitset& fine = subsets_[state];
   const Bitset& coarse = subsets_[other];
@@ -123,6 +127,24 @@ int LazyProductDfa::Step(int state, int symbol) {
         parts_[i]->Step(static_cast<int>(key[i]), symbol));
   }
   return Intern(scratch_key_);
+}
+
+int LazyProductDfa::StepUnlessDead(int state, int symbol) {
+  const std::vector<uint64_t>& key = interner_.KeyOf(state);
+  for (size_t i = 0; i < parts_.size(); ++i) {
+    const int to = parts_[i]->StepUnlessDead(static_cast<int>(key[i]), symbol);
+    if (to == kDead) return kDead;
+    scratch_key_[i] = static_cast<uint64_t>(to);
+  }
+  return Intern(scratch_key_);
+}
+
+bool LazyProductDfa::IsDead(int state) {
+  const std::vector<uint64_t>& key = interner_.KeyOf(state);
+  for (size_t i = 0; i < parts_.size(); ++i) {
+    if (parts_[i]->IsDead(static_cast<int>(key[i]))) return true;
+  }
+  return false;
 }
 
 bool LazyProductDfa::IsAccepting(int state) {
@@ -388,6 +410,7 @@ EmptinessResult FindAcceptedWord(LazyDfa* dfa, int64_t max_states,
   static const obs::Counter queued_counter("emptiness.states_queued");
   static const obs::Counter pruned_counter("emptiness.states_pruned");
   static const obs::Counter checks_counter("emptiness.budget_checks");
+  static const obs::Counter dead_cuts_counter("emptiness.dead_cuts");
   obs::Span span("emptiness.search");
   EmptinessResult result;
   const int num_symbols = dfa->NumSymbols();
@@ -415,9 +438,11 @@ EmptinessResult FindAcceptedWord(LazyDfa* dfa, int64_t max_states,
     queued_counter.Add(queued_states);
     pruned_counter.Add(result.states_pruned);
     checks_counter.Add(budget_checks);
+    dead_cuts_counter.Add(result.dead_cuts);
     span.Note("states_explored", result.states_explored);
     span.Note("states_pruned", result.states_pruned);
     span.Note("antichain_size", result.antichain_size);
+    span.Note("dead_cuts", result.dead_cuts);
   };
 
   int start = dfa->StartState();
@@ -449,7 +474,11 @@ EmptinessResult FindAcceptedWord(LazyDfa* dfa, int64_t max_states,
       return result;
     }
     for (int a = 0; a < num_symbols; ++a) {
-      int to = dfa->Step(state, a);
+      const int to = dfa->StepUnlessDead(state, a);
+      if (to == LazyDfa::kDead) {
+        ++result.dead_cuts;
+        continue;
+      }
       auto [it, inserted] = discovered.try_emplace(to, -1);
       if (!inserted) continue;
       if (use_antichain && blocks(to)) {
@@ -486,6 +515,7 @@ EmptinessResult FindAcceptedWordWithNfa(const Nfa& input,
   static const obs::Counter queued_counter("emptiness.states_queued");
   static const obs::Counter pruned_counter("emptiness.states_pruned");
   static const obs::Counter checks_counter("emptiness.budget_checks");
+  static const obs::Counter dead_cuts_counter("emptiness.dead_cuts");
   obs::Span span("emptiness.search_nfa");
   const Nfa nfa = RemoveEpsilon(input);
   for (LazyDfa* part : parts) {
@@ -515,9 +545,11 @@ EmptinessResult FindAcceptedWordWithNfa(const Nfa& input,
     queued_counter.Add(queued_states);
     pruned_counter.Add(result.states_pruned);
     checks_counter.Add(budget_checks);
+    dead_cuts_counter.Add(result.dead_cuts);
     span.Note("states_explored", result.states_explored);
     span.Note("states_pruned", result.states_pruned);
     span.Note("antichain_size", result.antichain_size);
+    span.Note("dead_cuts", result.dead_cuts);
   };
 
   // Reused key buffers, so no product edge allocates: `key` holds a copy of
@@ -619,12 +651,20 @@ EmptinessResult FindAcceptedWordWithNfa(const Nfa& input,
     }
     key = interner.KeyOf(id);
     int nfa_state = static_cast<int>(key[0]);
-    // Group NFA successors by symbol; each symbol advances all parts once.
+    // Each NFA transition advances the parts in order; the first part that
+    // steps into a dead state drops the tuple.
     for (const Nfa::Transition& t : nfa.TransitionsFrom(nfa_state)) {
       next[0] = static_cast<uint64_t>(t.to);
-      for (size_t i = 0; i < parts.size(); ++i) {
-        next[1 + i] = static_cast<uint64_t>(
-            parts[i]->Step(static_cast<int>(key[1 + i]), t.symbol));
+      size_t live_parts = 0;
+      for (; live_parts < parts.size(); ++live_parts) {
+        const int part_state = parts[live_parts]->StepUnlessDead(
+            static_cast<int>(key[1 + live_parts]), t.symbol);
+        if (part_state == LazyDfa::kDead) break;
+        next[1 + live_parts] = static_cast<uint64_t>(part_state);
+      }
+      if (live_parts < parts.size()) {
+        ++result.dead_cuts;
+        continue;
       }
       int to = interner.Intern(next);
       if (to == static_cast<int>(index_of_id.size())) {

@@ -50,6 +50,19 @@ class LazyDfa {
   /// Number of states discovered so far (for stats/ablation benches).
   virtual int64_t NumDiscoveredStates() const = 0;
 
+  /// Dead-part cut support for the emptiness searches. IsDead(state) may be
+  /// true only if `state` accepts no word, so that every successor of a dead
+  /// state is dead too; the default, false, is always sound.
+  /// StepUnlessDead returns Step's successor, or kDead when that successor
+  /// is dead. A product steps its parts in order and stops at the first dead
+  /// one, so a dead tuple is never interned.
+  static constexpr int kDead = -1;
+  virtual bool IsDead(int /*state*/) { return false; }
+  virtual int StepUnlessDead(int state, int symbol) {
+    const int to = Step(state, symbol);
+    return IsDead(to) ? kDead : to;
+  }
+
   /// Antichain ("subsumption") support for the emptiness searches. When
   /// HasSubsumption() is true, Subsumes(state, other) must imply
   /// L(other) ⊆ L(state) — L(q) being the language accepted when starting
@@ -83,6 +96,8 @@ class LazyDfaFromDfa : public LazyDfa {
   int Step(int state, int symbol) override;
   bool IsAccepting(int state) override;
   int64_t NumDiscoveredStates() const override { return dfa_.NumStates() + 1; }
+  /// The completing sink is dead.
+  bool IsDead(int state) override { return state == sink_; }
 
  private:
   Dfa dfa_;
@@ -103,6 +118,8 @@ class LazySubsetDfa : public LazyDfa {
   int Step(int state, int symbol) override;
   bool IsAccepting(int state) override;
   int64_t NumDiscoveredStates() const override { return interner_.size(); }
+  /// Without complement the empty subset is dead.
+  bool IsDead(int state) override;
 
   /// Subset languages are monotone in the subset, so all states are mutually
   /// comparable: without complement bigger subsets accept more (keep
@@ -135,6 +152,9 @@ class LazyProductDfa : public LazyDfa {
   int Step(int state, int symbol) override;
   bool IsAccepting(int state) override;
   int64_t NumDiscoveredStates() const override { return interner_.size(); }
+  /// A tuple with a dead part is dead.
+  bool IsDead(int state) override;
+  int StepUnlessDead(int state, int symbol) override;
 
   /// Componentwise subsumption: a product state dominates another when every
   /// part dominates the corresponding part (parts without native subsumption
@@ -205,6 +225,8 @@ struct EmptinessResult {
   /// number of live antichain members when the search stopped.
   int64_t states_pruned = 0;
   int64_t antichain_size = 0;
+  /// Successors dropped because a part stepped into a dead state.
+  int64_t dead_cuts = 0;
   /// On kLimitExceeded: the precise limit that was hit — ResourceExhausted
   /// (state cap), DeadlineExceeded, or Cancelled. Ok otherwise.
   Status status;
@@ -217,14 +239,19 @@ struct EmptinessResult {
 /// When the automaton advertises subsumption (see LazyDfa::HasSubsumption),
 /// dominated frontier states are pruned against an antichain of queued
 /// states, which usually decides universality/containment-style checks
-/// without materializing the determinized state space.
+/// without materializing the determinized state space. A successor that
+/// LazyDfa::StepUnlessDead reports dead is dropped before it is interned,
+/// compared, queued or charged; it accepts nothing, so neither the verdict
+/// nor the BFS order of the live states changes.
 EmptinessResult FindAcceptedWord(LazyDfa* dfa, int64_t max_states,
                                  Budget* budget = nullptr);
 
 /// Emptiness of L(nfa) ∩ ⋂ L(parts) without determinizing the NFA: BFS over
 /// (NFA state, part states) tuples. Use when one intersection component is a
 /// genuinely nondeterministic automaton whose subset construction would blow
-/// up (e.g. the certificate NFAs of Theorem 17).
+/// up (e.g. the certificate NFAs of Theorem 17). The parts are stepped in
+/// order, and a tuple is dropped at the first part that steps into a dead
+/// state, as in FindAcceptedWord.
 EmptinessResult FindAcceptedWordWithNfa(const Nfa& nfa,
                                         const std::vector<LazyDfa*>& parts,
                                         int64_t max_states,

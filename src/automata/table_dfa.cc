@@ -375,6 +375,13 @@ bool LazyTableDfa::IsAccepting(int state) {
   return reach_accepts != complement_;
 }
 
+bool LazyTableDfa::IsDead(int state) {
+  if (complement_) return false;
+  const std::vector<uint64_t>& key = interner_.KeyOf(state);
+  return std::all_of(key.begin(), key.begin() + words_per_set_,
+                     [](uint64_t word) { return word == 0; });
+}
+
 uint64_t LazyTableDfa::SubsumptionPartition(int state) {
   // The componentwise order compares any two states, but partitioning by
   // (a hash of) the B part keeps antichain buckets small; within a bucket

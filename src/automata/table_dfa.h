@@ -47,6 +47,9 @@ class LazyTableDfa : public LazyDfa {
   int Step(int state, int symbol) override;
   bool IsAccepting(int state) override;
   int64_t NumDiscoveredStates() const override { return interner_.size(); }
+  /// Without complement a state whose reach set R is empty is dead: R' is
+  /// the union of closure rows over R, so it stays empty on every letter.
+  bool IsDead(int state) override;
 
   /// Antichain support: the per-letter table update is monotone in the whole
   /// (R, B) encoding and acceptance is R ∩ F ≠ ∅ (monotone in R), so

@@ -5,16 +5,16 @@
 
 namespace rpqi {
 
-bool IsSoundRewriting(const Nfa& query, const std::vector<Nfa>& views,
-                      const Dfa& rewriting) {
+StatusOr<bool> IsSoundRewriting(const Nfa& query, const std::vector<Nfa>& views,
+                                const Dfa& rewriting, Budget* budget) {
   Nfa expansion = ExpandRewriting(rewriting, views);
-  return RpqiContained(expansion, query);
+  return RpqiContainedWithBudget(expansion, query, budget);
 }
 
-bool IsExactRewriting(const Nfa& query, const std::vector<Nfa>& views,
-                      const Dfa& rewriting) {
+StatusOr<bool> IsExactRewriting(const Nfa& query, const std::vector<Nfa>& views,
+                                const Dfa& rewriting, Budget* budget) {
   Nfa expansion = ExpandRewriting(rewriting, views);
-  return RpqiContained(query, expansion);
+  return RpqiContainedWithBudget(query, expansion, budget);
 }
 
 }  // namespace rpqi

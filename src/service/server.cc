@@ -713,6 +713,7 @@ StatusOr<JsonObject> Server::OpRewrite(const Request& request, Budget* budget,
   }
 
   std::shared_ptr<const CachedPlan> plan = plan_cache_.Get(key);
+  Status exact_cause;
   if (plan != nullptr && plan->rewriting.has_value()) {
     *cache_source = "hit";
   } else {
@@ -736,15 +737,25 @@ StatusOr<JsonObject> Server::OpRewrite(const Request& request, Budget* budget,
     auto fresh = std::make_shared<CachedPlan>();
     fresh->view_names = views.names;
     if (rewriting.exhaustive && !rewriting.empty) {
-      fresh->exact = IsExactRewriting(query, view_nfas, rewriting.dfa);
+      // Out of deadline or quota, the exactness check leaves `exact`
+      // unknown and names the cause; cancellation fails the request.
+      StatusOr<bool> exact =
+          IsExactRewriting(query, view_nfas, rewriting.dfa, budget);
+      if (exact.ok()) {
+        fresh->exact = *exact;
+      } else if (exact.status().code() == Status::Code::kCancelled) {
+        return exact.status();
+      } else {
+        exact_cause = exact.status();
+      }
     }
     bool exhaustive = rewriting.exhaustive;
     fresh->rewriting = std::move(rewriting);
     RenderRewriting(fresh.get());
-    // Only exhaustive results are cached: a degraded partial rewriting
-    // reflects this request's budget, not the query, and must not be served
-    // to better-funded callers.
-    if (exhaustive) plan_cache_.Put(key, fresh);
+    // Only complete results are cached: a degraded partial rewriting or an
+    // unknown `exact` reflects this request's budget, not the query, and
+    // must not be served to better-funded callers.
+    if (exhaustive && exact_cause.ok()) plan_cache_.Put(key, fresh);
     plan = std::move(fresh);
   }
 
@@ -756,6 +767,9 @@ StatusOr<JsonObject> Server::OpRewrite(const Request& request, Budget* budget,
   fields.emplace_back("exact", plan->exact.has_value()
                                    ? Json::Bool(*plan->exact)
                                    : Json::Null());
+  if (!exact_cause.ok()) {
+    fields.emplace_back("exact_cause", Json::Str(exact_cause.ToString()));
+  }
   if (!rewriting.exhaustive) {
     fields.emplace_back("partial_word_length",
                         Json::Int(rewriting.partial_word_length));

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "answer/cda.h"
 #include "answer/linearize.h"
@@ -8,6 +12,7 @@
 #include "answer/views.h"
 #include "automata/ops.h"
 #include "automata/random.h"
+#include "base/budget.h"
 #include "graphdb/eval.h"
 #include "obs/metrics.h"
 #include "regex/parser.h"
@@ -372,6 +377,83 @@ TEST(OdaSolverTest, OverflowingQuickSearchStillCountsItsWork) {
   ASSERT_EQ(delta.CounterValue("oda.phase1_overflows"), 1)
       << "instance no longer overflows phase 1; pick a harder one";
   EXPECT_GT(result->states_explored, kCap);
+}
+
+TEST(OdaSolverTest, ViewContextIsChargedToTheRequestBudget) {
+  // With a 4,096-state cap phase 1 overflows, so the probe builds the view
+  // context: every materialization and fold on that path is charged to the
+  // request budget, like phase 1's queued states. Phase 1 charges its 4,096
+  // states and the query's materialization about 9,000 more; the view side
+  // materializes over 100,000.
+  Builder builder(2, "p p p");
+  builder.AddView("p p p", {{0, 1}}, ViewAssumption::kExact);
+  OdaOptions options;
+  options.max_states = 4096;
+  Budget unlimited;
+  options.budget = &unlimited;
+  obs::MetricsSnapshot before = obs::TakeMetricsSnapshot();
+  StatusOr<OdaResult> result =
+      CertainAnswerOda(builder.instance, 0, 1, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->certain);
+  obs::MetricsSnapshot delta = obs::TakeMetricsSnapshot().DeltaSince(before);
+  ASSERT_EQ(delta.CounterValue("oda.phase1_overflows"), 1);
+  // Each search and each materialization charges every state past its
+  // start.
+  EXPECT_EQ(unlimited.states_charged(),
+            delta.CounterValue("emptiness.states_queued") -
+                delta.CounterValue("emptiness.searches") +
+                delta.CounterValue("materialize.states") -
+                delta.CounterValue("materialize.runs"));
+
+  // A quota that covers phase 1 and the query but not the view side ends
+  // the probe with the budget's own status.
+  Budget quota;
+  quota.set_max_states(20000);
+  options.budget = &quota;
+  OdaSolver solver(builder.instance, options);
+  StatusOr<OdaResult> over = solver.CertainAnswer(0, 1);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), Status::Code::kResourceExhausted);
+  EXPECT_NE(over.status().message().find("state quota of 20000"),
+            std::string::npos)
+      << over.status().ToString();
+  // The budget is sticky, so the solver's next probe fails the same way.
+  StatusOr<OdaResult> again = solver.CertainAnswer(0, 1);
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.status().code(), Status::Code::kResourceExhausted);
+}
+
+TEST(OdaSolverTest, Table1ChainProbesCutDeadParts) {
+  // The 2-object rows of Table 1 (bench_table1_data): one view p over the
+  // chain 0 -> 1, sound, exact, or sound beside a complete view p p with an
+  // empty extension; query p. (0,1) is certain and (1,0) is not. Phase 1
+  // decides each probe, dropping successors whose structure, occurrence or
+  // positive table part can no longer accept.
+  const std::vector<std::pair<ViewAssumption, bool>> rows = {
+      {ViewAssumption::kSound, false},
+      {ViewAssumption::kExact, false},
+      {ViewAssumption::kSound, true}};
+  for (const auto& [assumption, with_complete] : rows) {
+    Builder builder(2, "p");
+    if (with_complete) builder.AddView("p p", {}, ViewAssumption::kComplete);
+    builder.AddView("p", {{0, 1}}, assumption);
+    for (const auto& [c, d, certain] :
+         {std::tuple{0, 1, true}, std::tuple{1, 0, false}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "assumption " << static_cast<int>(assumption)
+                   << (with_complete ? " + complete" : "") << " pair (" << c
+                   << "," << d << ")");
+      obs::MetricsSnapshot before = obs::TakeMetricsSnapshot();
+      StatusOr<OdaResult> result = CertainAnswerOda(builder.instance, c, d);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->certain, certain);
+      obs::MetricsSnapshot delta =
+          obs::TakeMetricsSnapshot().DeltaSince(before);
+      EXPECT_GT(delta.CounterValue("emptiness.dead_cuts"), 0);
+      EXPECT_EQ(delta.CounterValue("oda.phase1_overflows"), 0);
+    }
+  }
 }
 
 }  // namespace

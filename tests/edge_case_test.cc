@@ -63,8 +63,8 @@ TEST(EdgeCaseTest, EmptyLanguageView) {
   EXPECT_TRUE(rewriting->dfa.Accepts({2, 2}));  // still no expansion
   EXPECT_FALSE(rewriting->dfa.Accepts({0, 0}));
   // Still a sound and (because v0 = query) exact rewriting.
-  EXPECT_TRUE(IsSoundRewriting(query, views, rewriting->dfa));
-  EXPECT_TRUE(IsExactRewriting(query, views, rewriting->dfa));
+  EXPECT_TRUE(IsSoundRewriting(query, views, rewriting->dfa, nullptr).value());
+  EXPECT_TRUE(IsExactRewriting(query, views, rewriting->dfa, nullptr).value());
 }
 
 TEST(EdgeCaseTest, EpsilonQueryRewriting) {
@@ -81,7 +81,7 @@ TEST(EdgeCaseTest, EpsilonQueryRewriting) {
   // v v⁻ expands to p p⁻ words, which relate x to x… but also to other
   // nodes with the same p-successor, so it is NOT below ε. Stays out.
   EXPECT_FALSE(rewriting->dfa.Accepts({0, 1}));
-  EXPECT_TRUE(IsExactRewriting(query, views, rewriting->dfa));
+  EXPECT_TRUE(IsExactRewriting(query, views, rewriting->dfa, nullptr).value());
 }
 
 TEST(EdgeCaseTest, SingleObjectAnswering) {

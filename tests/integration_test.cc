@@ -46,7 +46,7 @@ TEST(IntegrationTest, TextToRewritingRoundTrip) {
   StatusOr<MaximalRewriting> rewriting = ComputeMaximalRewriting(query, views);
   ASSERT_TRUE(rewriting.ok());
   ASSERT_FALSE(rewriting->empty);
-  ASSERT_TRUE(IsExactRewriting(query, views, rewriting->dfa));
+  ASSERT_TRUE(IsExactRewriting(query, views, rewriting->dfa, nullptr).value());
 
   std::vector<std::vector<std::pair<int, int>>> extensions;
   for (const Nfa& view : views) {

@@ -18,11 +18,13 @@
 #include <utility>
 #include <vector>
 
+#include "automata/dfa.h"
 #include "automata/lazy.h"
 #include "automata/nfa.h"
 #include "automata/ops.h"
 #include "automata/random.h"
 #include "automata/table_dfa.h"
+#include "automata/two_way.h"
 #include "base/bitset.h"
 #include "base/hash.h"
 #include "base/interner.h"
@@ -237,6 +239,23 @@ TEST(AntichainDifferentialTest, LazyProductEmptinessMatchesReference) {
   }
 }
 
+/// Length of a shortest word `dfa` accepts, or -1 when it accepts none.
+int ShortestAcceptedLength(const Dfa& dfa) {
+  std::deque<std::pair<int, int>> queue;  // (state, depth)
+  std::set<int> seen{dfa.initial()};
+  queue.push_back({dfa.initial(), 0});
+  while (!queue.empty()) {
+    auto [q, depth] = queue.front();
+    queue.pop_front();
+    if (dfa.IsAccepting(q)) return depth;
+    for (int symbol = 0; symbol < dfa.num_symbols(); ++symbol) {
+      int to = dfa.Next(q, symbol);
+      if (to >= 0 && seen.insert(to).second) queue.push_back({to, depth + 1});
+    }
+  }
+  return -1;
+}
+
 TEST(AntichainDifferentialTest, TableDfaEmptinessMatchesMaterialized) {
   // The two-way table translation with complemented acceptance — the A2 /
   // A_(Q,c,d) construction — checked with the antichain against a full
@@ -264,25 +283,7 @@ TEST(AntichainDifferentialTest, TableDfaEmptinessMatchesMaterialized) {
               EmptinessResult::Outcome::kLimitExceeded) {
         continue;  // both sides capped; nothing to compare
       }
-      // Reference emptiness: BFS over the explicit DFA.
-      std::deque<std::pair<int, int>> queue;  // (state, depth)
-      std::set<int> seen{materialized->initial()};
-      queue.push_back({materialized->initial(), 0});
-      int reference_length = -1;
-      while (!queue.empty() && reference_length < 0) {
-        auto [q, depth] = queue.front();
-        queue.pop_front();
-        if (materialized->IsAccepting(q)) {
-          reference_length = depth;
-          break;
-        }
-        for (int symbol = 0; symbol < materialized->num_symbols(); ++symbol) {
-          int to = materialized->Next(q, symbol);
-          if (to >= 0 && seen.insert(to).second) {
-            queue.push_back({to, depth + 1});
-          }
-        }
-      }
+      const int reference_length = ShortestAcceptedLength(*materialized);
       if (reference_length < 0) {
         EXPECT_EQ(with_antichain.outcome, EmptinessResult::Outcome::kEmpty);
       } else {
@@ -295,6 +296,205 @@ TEST(AntichainDifferentialTest, TableDfaEmptinessMatchesMaterialized) {
       EXPECT_LE(with_antichain.states_explored,
                 for_materialize.NumDiscoveredStates());
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Dead-part cut: products whose parts fall into rejecting sinks, searched
+// with the cut and checked against the materialized (uncut) product.
+
+/// Walks `word` from the start state with the total Step.
+bool LazyAccepts(LazyDfa* dfa, const std::vector<int>& word) {
+  int state = dfa->StartState();
+  for (int symbol : word) state = dfa->Step(state, symbol);
+  return dfa->IsAccepting(state);
+}
+
+/// A random DFA missing about a third of its transitions, so that
+/// LazyDfaFromDfa completes it with a reachable sink.
+Dfa RandomPartialDfa(std::mt19937_64& rng,
+                     const RandomAutomatonOptions& options) {
+  Dfa dfa(options.num_symbols, options.num_states);
+  std::uniform_int_distribution<int> pick_state(0, options.num_states - 1);
+  std::bernoulli_distribution missing(0.3);
+  std::bernoulli_distribution accepting(options.accepting_probability);
+  for (int state = 0; state < options.num_states; ++state) {
+    dfa.SetAccepting(state, accepting(rng));
+    for (int symbol = 0; symbol < options.num_symbols; ++symbol) {
+      if (!missing(rng)) dfa.SetNext(state, symbol, pick_state(rng));
+    }
+  }
+  return dfa;
+}
+
+/// The automata of one sink-prone product: a subset part of a partial NFA,
+/// a table part of either polarity, and a partial explicit DFA. Lazy
+/// automata intern as they step, so the search and the reference each build
+/// their own.
+struct SinkProneInputs {
+  Nfa partial_nfa;
+  TwoWayNfa two_way;
+  bool complement_table;
+  Dfa partial_dfa;
+};
+
+struct SinkProneParts {
+  explicit SinkProneParts(const SinkProneInputs& in)
+      : subset(in.partial_nfa),
+        table(in.two_way, in.complement_table),
+        from_dfa(in.partial_dfa) {}
+  std::vector<LazyDfa*> parts() { return {&subset, &table, &from_dfa}; }
+  LazySubsetDfa subset;
+  LazyTableDfa table;
+  LazyDfaFromDfa from_dfa;
+};
+
+SinkProneInputs RandomSinkProneInputs(std::mt19937_64& rng,
+                                      bool complement_table) {
+  RandomAutomatonOptions sparse;
+  sparse.num_states = 4;
+  sparse.num_symbols = 2;
+  sparse.transition_density = 0.8;
+  sparse.accepting_probability = 0.5;
+  RandomAutomatonOptions two_way;
+  two_way.num_states = 3;
+  two_way.num_symbols = 2;
+  // Braced initializers run in order, so the draws are deterministic.
+  return SinkProneInputs{RandomNfa(rng, sparse), RandomTwoWayNfa(rng, two_way),
+                         complement_table, RandomPartialDfa(rng, sparse)};
+}
+
+TEST(AntichainDifferentialTest, DeadPartCutMatchesMaterializedProduct) {
+  std::mt19937_64 rng(BaseSeed() ^ 0x2545f4914f6cdd1dULL);
+  int64_t cuts = 0;
+  int found = 0;
+  int empty = 0;
+  for (int iteration = 0; iteration < 1000; ++iteration) {
+    RPQI_FUZZ_SCOPE(iteration);
+    const SinkProneInputs in = RandomSinkProneInputs(rng, iteration & 1);
+    SinkProneParts search(in);
+    LazyProductDfa product(search.parts());
+    EmptinessResult result = FindAcceptedWord(&product, /*max_states=*/1 << 16);
+
+    SinkProneParts reference(in);
+    LazyProductDfa uncut(reference.parts());
+    StatusOr<Dfa> materialized = MaterializeLazyDfa(&uncut, 1 << 16);
+    if (!materialized.ok() ||
+        result.outcome == EmptinessResult::Outcome::kLimitExceeded) {
+      continue;  // capped; nothing to compare
+    }
+    cuts += result.dead_cuts;
+    const int reference_length = ShortestAcceptedLength(*materialized);
+    if (reference_length < 0) {
+      EXPECT_EQ(result.outcome, EmptinessResult::Outcome::kEmpty);
+      ++empty;
+      continue;
+    }
+    ASSERT_EQ(result.outcome, EmptinessResult::Outcome::kFoundWord);
+    EXPECT_EQ(static_cast<int>(result.witness.size()), reference_length);
+    for (LazyDfa* part : reference.parts()) {
+      EXPECT_TRUE(LazyAccepts(part, result.witness));
+    }
+    ++found;
+  }
+  // The corpus must exercise the cut and both verdicts.
+  EXPECT_GT(cuts, 0);
+  EXPECT_GT(found, 0);
+  EXPECT_GT(empty, 0);
+}
+
+TEST(AntichainDifferentialTest, NfaSearchCutMatchesMaterializedProduct) {
+  // FindAcceptedWordWithNfa over the same sink-prone parts; the reference
+  // materializes the subset automaton of the NFA times the parts.
+  std::mt19937_64 rng(BaseSeed() ^ 0x9fb21c651e98df25ULL);
+  RandomAutomatonOptions options;
+  options.num_states = 4;
+  options.num_symbols = 2;
+  options.transition_density = 1.2;
+  int64_t cuts = 0;
+  int found = 0;
+  int empty = 0;
+  for (int iteration = 0; iteration < 1000; ++iteration) {
+    RPQI_FUZZ_SCOPE(iteration);
+    const Nfa nfa = RandomNfa(rng, options);
+    const SinkProneInputs in = RandomSinkProneInputs(rng, iteration & 1);
+    SinkProneParts search(in);
+    EmptinessResult result =
+        FindAcceptedWordWithNfa(nfa, search.parts(), /*max_states=*/1 << 16);
+
+    SinkProneParts reference(in);
+    LazySubsetDfa nfa_dfa(nfa);
+    std::vector<LazyDfa*> reference_parts = reference.parts();
+    reference_parts.insert(reference_parts.begin(), &nfa_dfa);
+    LazyProductDfa uncut(reference_parts);
+    StatusOr<Dfa> materialized = MaterializeLazyDfa(&uncut, 1 << 16);
+    if (!materialized.ok() ||
+        result.outcome == EmptinessResult::Outcome::kLimitExceeded) {
+      continue;
+    }
+    cuts += result.dead_cuts;
+    const int reference_length = ShortestAcceptedLength(*materialized);
+    if (reference_length < 0) {
+      EXPECT_EQ(result.outcome, EmptinessResult::Outcome::kEmpty);
+      ++empty;
+      continue;
+    }
+    ASSERT_EQ(result.outcome, EmptinessResult::Outcome::kFoundWord);
+    EXPECT_EQ(static_cast<int>(result.witness.size()), reference_length);
+    for (LazyDfa* part : reference_parts) {
+      EXPECT_TRUE(LazyAccepts(part, result.witness));
+    }
+    ++found;
+  }
+  EXPECT_GT(cuts, 0);
+  EXPECT_GT(found, 0);
+  EXPECT_GT(empty, 0);
+}
+
+TEST(AntichainDifferentialTest, DeadStartQueuesNothingPastTheStart) {
+  // Automata without an initial state start dead unless complemented.
+  Nfa no_start(2);
+  no_start.AddState();
+  no_start.AddState();
+  no_start.AddTransition(0, 0, 1);
+  no_start.AddTransition(1, 1, 1);
+  no_start.SetAccepting(1);
+  TwoWayNfa no_start_two_way(2);
+  no_start_two_way.AddState();
+  no_start_two_way.AddTransition(0, 0, 0, Move::kRight);
+  no_start_two_way.SetAccepting(0);
+  LazySubsetDfa dead_subset(no_start);
+  LazyTableDfa dead_table(no_start_two_way, /*complement=*/false);
+  LazySubsetDfa complemented_subset(no_start, /*complement=*/true);
+  LazyTableDfa complemented_table(no_start_two_way, /*complement=*/true);
+  EXPECT_TRUE(dead_subset.IsDead(dead_subset.StartState()));
+  EXPECT_TRUE(dead_table.IsDead(dead_table.StartState()));
+  EXPECT_FALSE(
+      complemented_subset.IsDead(complemented_subset.StartState()));
+  EXPECT_FALSE(complemented_table.IsDead(complemented_table.StartState()));
+
+  // Σ*: every word is accepted, so only the dead part empties the product.
+  Nfa everything(2);
+  everything.AddState();
+  everything.SetInitial(0);
+  everything.SetAccepting(0);
+  everything.AddTransition(0, 0, 0);
+  everything.AddTransition(0, 1, 0);
+  for (LazyDfa* dead : std::vector<LazyDfa*>{&dead_subset, &dead_table}) {
+    LazySubsetDfa live(everything);
+    LazyProductDfa product({&live, dead});
+    EXPECT_TRUE(product.IsDead(product.StartState()));
+    EmptinessResult result = FindAcceptedWord(&product, /*max_states=*/16);
+    EXPECT_EQ(result.outcome, EmptinessResult::Outcome::kEmpty);
+    EXPECT_EQ(result.states_explored, 1);
+    EXPECT_EQ(result.dead_cuts, 2);
+    EXPECT_EQ(product.NumDiscoveredStates(), 1);
+
+    EmptinessResult with_nfa =
+        FindAcceptedWordWithNfa(everything, {dead}, /*max_states=*/16);
+    EXPECT_EQ(with_nfa.outcome, EmptinessResult::Outcome::kEmpty);
+    EXPECT_EQ(with_nfa.states_explored, 1);
+    EXPECT_EQ(with_nfa.dead_cuts, 2);
   }
 }
 

@@ -230,7 +230,7 @@ TEST_P(SeededProperty, RewritingWithQueryAsViewIsExact) {
   ASSERT_TRUE(rewriting.ok());
   EXPECT_FALSE(rewriting->empty);
   EXPECT_TRUE(rewriting->dfa.Accepts({0}));  // the view itself
-  EXPECT_TRUE(IsExactRewriting(query, views, rewriting->dfa));
+  EXPECT_TRUE(IsExactRewriting(query, views, rewriting->dfa, nullptr).value());
 }
 
 TEST_P(SeededProperty, RewritingShrinksWhenViewsShrink) {

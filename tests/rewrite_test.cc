@@ -106,8 +106,8 @@ TEST(RewriterTest, PaperExample1IsExactlyRewritable) {
   // A bare up is not a rewriting word (it computes hasSubmodule⁻, not the
   // query), nor is downOrVar followed by up.
   EXPECT_FALSE(rewriting->dfa.Accepts({0}));
-  EXPECT_TRUE(IsSoundRewriting(query, views, rewriting->dfa));
-  EXPECT_TRUE(IsExactRewriting(query, views, rewriting->dfa));
+  EXPECT_TRUE(IsSoundRewriting(query, views, rewriting->dfa, nullptr).value());
+  EXPECT_TRUE(IsExactRewriting(query, views, rewriting->dfa, nullptr).value());
 }
 
 TEST(RewriterTest, InverseViewSymbolsAreUsed) {
@@ -120,7 +120,7 @@ TEST(RewriterTest, InverseViewSymbolsAreUsed) {
   EXPECT_FALSE(rewriting->empty);
   EXPECT_TRUE(rewriting->dfa.Accepts({1}));   // v⁻
   EXPECT_FALSE(rewriting->dfa.Accepts({0}));  // v
-  EXPECT_TRUE(IsExactRewriting(query, views, rewriting->dfa));
+  EXPECT_TRUE(IsExactRewriting(query, views, rewriting->dfa, nullptr).value());
 }
 
 TEST(RewriterTest, EmptyRewritingWhenViewsCannotHelp) {
@@ -130,7 +130,7 @@ TEST(RewriterTest, EmptyRewritingWhenViewsCannotHelp) {
   StatusOr<MaximalRewriting> rewriting = ComputeMaximalRewriting(query, views);
   ASSERT_TRUE(rewriting.ok());
   EXPECT_TRUE(rewriting->empty);
-  EXPECT_FALSE(IsExactRewriting(query, views, rewriting->dfa));
+  EXPECT_FALSE(IsExactRewriting(query, views, rewriting->dfa, nullptr).value());
   StatusOr<bool> nonempty = MaximalRewritingNonEmpty(query, views);
   ASSERT_TRUE(nonempty.ok());
   EXPECT_FALSE(*nonempty);
@@ -185,7 +185,7 @@ TEST(RewriterTest, SoundnessOnRandomInstances) {
     StatusOr<MaximalRewriting> rewriting =
         ComputeMaximalRewriting(query, views);
     ASSERT_TRUE(rewriting.ok()) << rewriting.status().ToString();
-    EXPECT_TRUE(IsSoundRewriting(query, views, rewriting->dfa))
+    EXPECT_TRUE(IsSoundRewriting(query, views, rewriting->dfa, nullptr).value())
         << "trial " << trial;
   }
 }

@@ -452,6 +452,37 @@ TEST(ServerTest, RewriteCachesExhaustiveResults) {
   EXPECT_EQ(renders, 1) << spans;
 }
 
+TEST(ServerTest, RewriteExactnessObeysTheStateQuota) {
+  // This instance's pipeline fits a quota of 128 states, but not together
+  // with its exactness search (about 116 and 140 states). Out of quota, the
+  // response keeps the exhaustive rewriting, answers `exact` null with its
+  // cause, and is not cached; an unlimited request then decides and caches
+  // it, and a quota request hits that plan.
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.Init().ok());
+  const std::string body =
+      R"json("op":"rewrite","query":"(a | b)* a (a | b) (a | b)",)json"
+      R"json("views":{"v":"a","w":"b"})json";
+  const std::string limited = R"({"id":1,)" + body + R"(,"max_states":128})";
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    Json response = Handle(server, limited);
+    EXPECT_EQ(FindField(response, "status")->string_value(), "ok");
+    EXPECT_EQ(FindField(response, "cache")->string_value(), "miss");
+    EXPECT_TRUE(FindField(response, "exhaustive")->bool_value());
+    EXPECT_TRUE(FindField(response, "exact")->is_null());
+    EXPECT_EQ(FindField(response, "exact_cause")->string_value(),
+              "ResourceExhausted: state quota of 128 exceeded");
+  }
+  Json full = Handle(server, R"({"id":2,)" + body + "}");
+  EXPECT_EQ(FindField(full, "cache")->string_value(), "miss");
+  EXPECT_TRUE(FindField(full, "exact")->bool_value());
+  EXPECT_EQ(full.Find("exact_cause"), nullptr);
+  Json hit = Handle(server, limited);
+  EXPECT_EQ(FindField(hit, "cache")->string_value(), "hit");
+  EXPECT_TRUE(FindField(hit, "exact")->bool_value());
+  EXPECT_EQ(hit.Find("exact_cause"), nullptr);
+}
+
 TEST(ServerTest, AnswerOdaAndCdaAgreeOnExactView) {
   Server server(ServerOptions{});
   ASSERT_TRUE(server.Init().ok());

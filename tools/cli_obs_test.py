@@ -77,6 +77,14 @@ def main():
     check("exit 4 on deadline",
           run(binary, "contains", "--query", hard, "--in", hard,
               "--timeout-ms", "1").returncode == 4)
+    # The exactness check obeys the quota too: this pipeline fits 128 states
+    # and its exactness search does not, so `exact` is unknown, with cause.
+    result = run(binary, "rewrite", "--query", "(a | b)* a (a | b) (a | b)",
+                 "--view", "v=a", "--view", "w=b", "--max-states", "128")
+    check("rewrite reports exactness unknown past the quota",
+          result.returncode == 0 and
+          "exact: unknown (ResourceExhausted: state quota of 128 exceeded)"
+          in result.stdout.splitlines(), result.stdout + result.stderr)
 
     # --- trace NDJSON over the rewrite pipeline ---------------------------
     trace_path = os.path.join(tmp, "trace.ndjson")

@@ -288,8 +288,18 @@ StatusOr<int> CmdRewrite(const FlagMap& flags) {
     std::printf("rewriting: %s\n",
                 RewritingToString(rewriting.dfa, view_names).c_str());
     if (rewriting.exhaustive) {
-      std::printf("exact: %s\n",
-                  IsExactRewriting(query, views, rewriting.dfa) ? "yes" : "no");
+      // Out of deadline or quota the verdict is unknown; cancellation ends
+      // the command.
+      StatusOr<bool> exact =
+          IsExactRewriting(query, views, rewriting.dfa, run.get());
+      if (exact.ok()) {
+        std::printf("exact: %s\n", *exact ? "yes" : "no");
+      } else if (exact.status().code() == Status::Code::kCancelled) {
+        return exact.status();
+      } else {
+        std::printf("exact: unknown (%s)\n",
+                    exact.status().ToString().c_str());
+      }
     }
   }
   if (!rewriting.exhaustive) {
