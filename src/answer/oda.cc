@@ -79,10 +79,6 @@ TwoWayNfa BuildExcessAutomaton(const View& view,
   return UnionTwoWay(parts);
 }
 
-bool DfaLanguageEmpty(const Dfa& dfa) {
-  return !ShortestAcceptedWord(DfaToNfa(dfa)).has_value();
-}
-
 /// Pairwise intersection with intermediate minimization: keeps every
 /// intermediate automaton near its minimal size, which beats a flat BFS over
 /// the k-way product by orders of magnitude when the intersection is empty.
@@ -92,7 +88,7 @@ StatusOr<Dfa> FoldIntersection(const Dfa& first,
                                int64_t max_states, Budget* budget) {
   Dfa accumulated = first;
   for (const Dfa* part : rest) {
-    if (DfaLanguageEmpty(accumulated)) break;  // intersection already empty
+    if (IsEmpty(accumulated)) break;  // intersection already empty
     LazyDfaFromDfa lhs(accumulated);
     LazyDfaFromDfa rhs(*part);
     LazyProductDfa product({&lhs, &rhs});

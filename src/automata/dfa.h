@@ -1,6 +1,7 @@
 #ifndef RPQI_AUTOMATA_DFA_H_
 #define RPQI_AUTOMATA_DFA_H_
 
+#include <utility>
 #include <vector>
 
 #include "base/logging.h"
@@ -21,6 +22,24 @@ class Dfa {
         initial_(0) {
     RPQI_CHECK_GE(num_symbols, 0);
     RPQI_CHECK_GT(num_states, 0);
+  }
+
+  /// Adopts a row-major table (`next[state * num_symbols + symbol]`, -1 for
+  /// a missing edge) and per-state acceptance, so builders that grow a flat
+  /// table move it in instead of copying it edge by edge.
+  Dfa(int num_symbols, std::vector<int> next, std::vector<bool> accepting,
+      int initial)
+      : num_symbols_(num_symbols),
+        num_states_(static_cast<int>(accepting.size())),
+        next_(std::move(next)),
+        accepting_(std::move(accepting)),
+        initial_(initial) {
+    RPQI_CHECK_GE(num_symbols, 0);
+    RPQI_CHECK_GT(num_states_, 0);
+    RPQI_CHECK_EQ(next_.size(),
+                  static_cast<size_t>(num_states_) * num_symbols);
+    RPQI_CHECK(0 <= initial && initial < num_states_);
+    for (int to : next_) RPQI_CHECK(-1 <= to && to < num_states_);
   }
 
   int num_symbols() const { return num_symbols_; }
@@ -94,6 +113,10 @@ Dfa ComplementDfa(const Dfa& dfa);
 /// the minimum number of states among complete DFAs for the language
 /// (including the sink state, if the language is not universal-prefix-closed).
 Dfa Minimize(const Dfa& dfa);
+
+/// True if the automaton accepts no word: one breadth-first search over the
+/// table from the initial state.
+bool IsEmpty(const Dfa& dfa);
 
 /// Converts to an equivalent NFA (one initial state, same transitions).
 Nfa DfaToNfa(const Dfa& dfa);

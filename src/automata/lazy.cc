@@ -702,22 +702,25 @@ StatusOr<Dfa> MaterializeLazyDfa(LazyDfa* dfa, int64_t max_states,
   static const obs::Counter states_counter("materialize.states");
   obs::Span span("automata.materialize");
   const int num_symbols = dfa->NumSymbols();
-  std::unordered_map<int, int> dense;  // lazy state id -> dense id
-  std::vector<int> lazy_id_of;         // dense id -> lazy state id
-  std::vector<std::vector<int>> rows;
+  // Lazy ids are dense interned ids, so both directions are flat vectors.
+  std::vector<int> dense;       // lazy state id -> dense id, -1 if unseen
+  std::vector<int> lazy_id_of;  // dense id -> lazy state id
+  std::vector<int> next;        // row-major transition table
 
   int start = dfa->StartState();
+  dense.assign(static_cast<size_t>(start) + 1, -1);
   dense[start] = 0;
   lazy_id_of.push_back(start);
 
   for (size_t i = 0; i < lazy_id_of.size(); ++i) {
     RPQI_RETURN_IF_ERROR(BudgetCheck(budget));
-    rows.emplace_back(num_symbols, -1);
     for (int a = 0; a < num_symbols; ++a) {
       int to = dfa->Step(lazy_id_of[i], a);
-      auto [it, inserted] =
-          dense.try_emplace(to, static_cast<int>(lazy_id_of.size()));
-      if (inserted) {
+      if (static_cast<size_t>(to) >= dense.size()) {
+        dense.resize(std::max(static_cast<size_t>(to) + 1, 2 * dense.size()),
+                     -1);
+      }
+      if (dense[to] < 0) {
         if (static_cast<int64_t>(lazy_id_of.size()) + 1 > max_states) {
           return Status::ResourceExhausted(
               "lazy DFA materialization exceeded " +
@@ -730,24 +733,22 @@ StatusOr<Dfa> MaterializeLazyDfa(LazyDfa* dfa, int64_t max_states,
                              "injected state-allocation failure in lazy DFA "
                              "materialization"));
         RPQI_RETURN_IF_ERROR(BudgetCharge(budget, 1));
+        dense[to] = static_cast<int>(lazy_id_of.size());
         lazy_id_of.push_back(to);
       }
-      rows[i][a] = it->second;
+      next.push_back(dense[to]);
     }
   }
 
-  Dfa result(num_symbols, static_cast<int>(lazy_id_of.size()));
-  result.SetInitial(0);
+  std::vector<bool> accepting(lazy_id_of.size());
   for (size_t i = 0; i < lazy_id_of.size(); ++i) {
-    result.SetAccepting(static_cast<int>(i), dfa->IsAccepting(lazy_id_of[i]));
-    for (int a = 0; a < num_symbols; ++a) {
-      result.SetNext(static_cast<int>(i), a, rows[i][a]);
-    }
+    accepting[i] = dfa->IsAccepting(lazy_id_of[i]);
   }
   runs_counter.Increment();
   states_counter.Add(static_cast<int64_t>(lazy_id_of.size()));
   span.Note("states", static_cast<int64_t>(lazy_id_of.size()));
-  return result;
+  return Dfa(num_symbols, std::move(next), std::move(accepting),
+             /*initial=*/0);
 }
 
 }  // namespace rpqi

@@ -164,34 +164,38 @@ Nfa Trim(const Nfa& nfa) {
   return result;
 }
 
-StatusOr<Dfa> DeterminizeWithLimit(const Nfa& input, int64_t max_states,
-                                   Budget* budget) {
+namespace {
+
+/// The breadth-first subset construction both DeterminizeWithLimit overloads
+/// run. It owns what they share: interning (subsets get ids in discovery
+/// order, successors in symbol order), the `max_states` limit, the budget
+/// check per expansion and charge per new subset, the
+/// automata.determinize_state fault site, the span and counters, and the
+/// totality check on the result. `expand(subset, &successors)` sets
+/// successors[a] to the a-successor of `subset` for every symbol a (the
+/// bitsets arrive cleared) and returns whether `subset` accepts.
+template <typename Expand>
+StatusOr<Dfa> BuildSubsetDfa(int num_symbols, int num_states, Bitset start,
+                             int64_t max_states, Budget* budget,
+                             Expand expand) {
   static const obs::Counter runs_counter("determinize.runs");
   static const obs::Counter states_counter("determinize.states");
   obs::Span span("automata.determinize");
-  const FlatNfa flat = CompileFlat(input);
-  const int num_symbols = flat.num_symbols();
   WordVectorInterner interner;
-  std::vector<Bitset> subset_of;   // interned id -> subset
+  std::vector<Bitset> subset_of;  // interned id -> subset
+  interner.InternHashed(start.words(), start.Hash());
+  subset_of.push_back(std::move(start));
+
+  std::vector<int> next;  // row-major transition table
   std::vector<bool> accepting;
-
-  Bitset start(flat.NumStates());
-  for (int s : flat.InitialStates()) start.Set(s);
-  int start_id = interner.InternHashed(start.words(), start.Hash());
-  subset_of.push_back(start);
-  accepting.push_back(SubsetAccepts(flat, start));
-
-  std::vector<std::vector<int>> next_rows;
-  std::vector<Bitset> successors(num_symbols, Bitset(flat.NumStates()));
+  std::vector<Bitset> successors(num_symbols, Bitset(num_states));
   for (int id = 0; id < interner.size(); ++id) {
     RPQI_RETURN_IF_ERROR(BudgetCheck(budget));
-    next_rows.emplace_back(num_symbols, -1);
-    SubsetStepAll(flat, subset_of[id], &successors);
-    // Interned in symbol order, so state ids follow the per-symbol order of
-    // a breadth-first subset construction.
+    for (Bitset& successor : successors) successor.Clear();
+    accepting.push_back(expand(subset_of[id], &successors));
     for (int a = 0; a < num_symbols; ++a) {
-      const Bitset& next = successors[a];
-      int next_id = interner.InternHashed(next.words(), next.Hash());
+      const Bitset& successor = successors[a];
+      int next_id = interner.InternHashed(successor.words(), successor.Hash());
       if (next_id == static_cast<int>(subset_of.size())) {
         if (interner.size() > max_states) {
           return Status::ResourceExhausted("subset construction exceeded " +
@@ -205,33 +209,157 @@ StatusOr<Dfa> DeterminizeWithLimit(const Nfa& input, int64_t max_states,
                              "injected state-allocation failure in subset "
                              "construction"));
         RPQI_RETURN_IF_ERROR(BudgetCharge(budget, 1));
-        subset_of.push_back(next);
-        accepting.push_back(SubsetAccepts(flat, next));
+        subset_of.push_back(successor);
       }
-      next_rows[id][a] = next_id;
+      next.push_back(next_id);
     }
   }
 
   runs_counter.Increment();
   states_counter.Add(interner.size());
   span.Note("states", interner.size());
-  Dfa dfa(num_symbols, interner.size());
-  dfa.SetInitial(start_id);
-  for (int id = 0; id < interner.size(); ++id) {
-    dfa.SetAccepting(id, accepting[id]);
-    for (int a = 0; a < num_symbols; ++a) {
-      dfa.SetNext(id, a, next_rows[id][a]);
-    }
-  }
+  Dfa dfa(num_symbols, std::move(next), std::move(accepting), /*initial=*/0);
   {
     // The subset construction is total by construction (the empty subset is a
     // sink); a missing edge here would corrupt every complement downstream.
     DfaValidateOptions options;
     options.require_total = true;
-    options.expected_num_symbols = input.num_symbols();
+    options.expected_num_symbols = num_symbols;
     RPQI_VALIDATE_STAGE(ValidateDfa(dfa, options));
   }
   return dfa;
+}
+
+}  // namespace
+
+StatusOr<Dfa> DeterminizeWithLimit(const Nfa& input, int64_t max_states,
+                                   Budget* budget) {
+  const FlatNfa flat = CompileFlat(input);
+  Bitset start(flat.NumStates());
+  for (int s : flat.InitialStates()) start.Set(s);
+  return BuildSubsetDfa(
+      flat.num_symbols(), flat.NumStates(), std::move(start), max_states,
+      budget, [&flat](const Bitset& subset, std::vector<Bitset>* successors) {
+        SubsetStepAll(flat, subset, successors);
+        return SubsetAccepts(flat, subset);
+      });
+}
+
+DfaProjection::DfaProjection(const Dfa& dfa, const std::vector<int>& mapping,
+                             int num_symbols)
+    : num_symbols_(num_symbols) {
+  RPQI_CHECK_EQ(static_cast<int>(mapping.size()), dfa.num_symbols());
+  for (int image : mapping) {
+    RPQI_CHECK(image == kEpsilon || (0 <= image && image < num_symbols));
+  }
+  const int n = dfa.NumStates();
+  const int k = dfa.num_symbols();
+  // Forward reachability from the initial state, then co-reachability over
+  // the reversed edges of reachable states (a CSR of predecessors).
+  std::vector<int> stack = {dfa.initial()};
+  std::vector<char> reachable(n, 0);
+  reachable[dfa.initial()] = 1;
+  std::vector<int> predecessor_begin(static_cast<size_t>(n) + 1, 0);
+  while (!stack.empty()) {
+    const int s = stack.back();
+    stack.pop_back();
+    for (int a = 0; a < k; ++a) {
+      const int to = dfa.Next(s, a);
+      if (to < 0) continue;
+      ++predecessor_begin[to + 1];
+      if (!reachable[to]) {
+        reachable[to] = 1;
+        stack.push_back(to);
+      }
+    }
+  }
+  for (int s = 0; s < n; ++s) predecessor_begin[s + 1] += predecessor_begin[s];
+  std::vector<int> predecessors(predecessor_begin[n]);
+  std::vector<int> fill(predecessor_begin.begin(), predecessor_begin.end() - 1);
+  for (int s = 0; s < n; ++s) {
+    if (!reachable[s]) continue;
+    for (int a = 0; a < k; ++a) {
+      const int to = dfa.Next(s, a);
+      if (to >= 0) predecessors[fill[to]++] = s;
+    }
+  }
+  // useful_id[s] is -1 until s is known to be useful (co-reachable).
+  std::vector<int> useful_id(n, -1);
+  for (int s = 0; s < n; ++s) {
+    if (reachable[s] && dfa.IsAccepting(s)) {
+      useful_id[s] = 0;
+      stack.push_back(s);
+    }
+  }
+  while (!stack.empty()) {
+    const int s = stack.back();
+    stack.pop_back();
+    for (int i = predecessor_begin[s]; i < predecessor_begin[s + 1]; ++i) {
+      const int q = predecessors[i];
+      if (useful_id[q] < 0) {
+        useful_id[q] = 0;
+        stack.push_back(q);
+      }
+    }
+  }
+  std::vector<int> useful;  // useful id -> DFA state
+  for (int s = 0; s < n; ++s) {
+    if (useful_id[s] < 0) continue;
+    useful_id[s] = static_cast<int>(useful.size());
+    useful.push_back(s);
+  }
+
+  num_useful_ = static_cast<int>(useful.size());
+  // Every useful state is reachable, so the initial state is useful unless
+  // none is.
+  initial_ = num_useful_ == 0 ? 0 : useful_id[dfa.initial()];
+  accepting_.assign(std::max(1, num_useful_), false);
+  edge_begin_.assign(accepting_.size() + 1, 0);
+  for (int id = 0; id < num_useful_; ++id) {
+    const int s = useful[id];
+    accepting_[id] = dfa.IsAccepting(s);
+    for (int a = 0; a < k; ++a) {
+      const int to = dfa.Next(s, a);
+      if (to >= 0 && useful_id[to] >= 0) {
+        edges_.push_back({mapping[a], useful_id[to]});
+      }
+    }
+    edge_begin_[id + 1] = static_cast<int>(edges_.size());
+  }
+}
+
+StatusOr<Dfa> DeterminizeWithLimit(const DfaProjection& projection,
+                                   int64_t max_states, Budget* budget) {
+  const int n = projection.NumStates();
+  Bitset start(n);
+  start.Set(projection.initial());
+  // Expansion scratch: the erased-symbol closure and its work stack.
+  Bitset closure(n);
+  std::vector<int> stack;
+  return BuildSubsetDfa(
+      projection.num_symbols(), n, std::move(start), max_states, budget,
+      [&](const Bitset& subset, std::vector<Bitset>* successors) {
+        closure = subset;
+        for (int q = subset.NextSetBit(0); q >= 0;
+             q = subset.NextSetBit(q + 1)) {
+          stack.push_back(q);
+        }
+        bool accepts = false;
+        while (!stack.empty()) {
+          const int q = stack.back();
+          stack.pop_back();
+          accepts = accepts || projection.IsAccepting(q);
+          for (const Nfa::Transition& t : projection.Edges(q)) {
+            if (t.symbol != kEpsilon) {
+              (*successors)[t.symbol].Set(t.to);
+            } else if (!closure.Test(t.to)) {
+              closure.Set(t.to);
+              stack.push_back(t.to);
+            }
+          }
+        }
+        return accepts;
+      });
 }
 
 Dfa Determinize(const Nfa& nfa) {
@@ -360,23 +488,6 @@ Nfa ReverseNfa(const Nfa& a) {
     result.SetAccepting(s, a.IsInitial(s));
     for (const Nfa::Transition& t : a.TransitionsFrom(s)) {
       result.AddTransition(t.to, t.symbol, s);
-    }
-  }
-  return result;
-}
-
-Nfa Project(const Nfa& a, const std::vector<int>& mapping,
-            int new_num_symbols) {
-  RPQI_CHECK_EQ(static_cast<int>(mapping.size()), a.num_symbols());
-  // lint: allow-unbudgeted same state count as the input
-  Nfa result(new_num_symbols);
-  for (int s = 0; s < a.NumStates(); ++s) result.AddState();
-  for (int s = 0; s < a.NumStates(); ++s) {
-    result.SetInitial(s, a.IsInitial(s));
-    result.SetAccepting(s, a.IsAccepting(s));
-    for (const Nfa::Transition& t : a.TransitionsFrom(s)) {
-      int image = t.symbol == kEpsilon ? kEpsilon : mapping[t.symbol];
-      result.AddTransition(s, image, t.to);
     }
   }
   return result;

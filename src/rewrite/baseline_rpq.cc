@@ -116,7 +116,7 @@ StatusOr<MaximalRewriting> ComputeBaselineRpqRewriting(
   MaximalRewriting result;
   result.dfa = std::move(rewriting);
   result.stats = stats;
-  result.empty = !ShortestAcceptedWord(DfaToNfa(result.dfa)).has_value();
+  result.empty = IsEmpty(result.dfa);
   return result;
 }
 

@@ -92,6 +92,20 @@ std::vector<int> ProjectionMapping(const RewritingAlphabet& alphabet) {
   return mapping;
 }
 
+/// R as a regex over the view names, by state elimination.
+RegexPtr RewritingToRegex(const Dfa& rewriting,
+                          const std::vector<std::string>& view_names) {
+  RPQI_CHECK_EQ(static_cast<int>(view_names.size()) * 2,
+                rewriting.num_symbols());
+  std::vector<RegexPtr> atoms;
+  atoms.reserve(rewriting.num_symbols());
+  for (size_t view = 0; view < view_names.size(); ++view) {
+    atoms.push_back(RAtom(view_names[view], false));
+    atoms.push_back(RAtom(view_names[view], true));
+  }
+  return NfaToRegex(DfaToNfa(rewriting), atoms);
+}
+
 /// The exact Theorem 7 pipeline. `stats` is an out-parameter so a failed run
 /// still reports the sizes of the stages it completed.
 StatusOr<MaximalRewriting> ComputeExactRewriting(
@@ -154,22 +168,17 @@ StatusOr<MaximalRewriting> ComputeExactRewriting(
     RPQI_VALIDATE_STAGE(ValidateDfa(*product_dfa, product_options));
   }
 
-  // A4: project onto Σ_E±, so it accepts exactly the *bad* view words.
-  Nfa a4(0);
-  {
+  // A4: the projection onto Σ_E±, so it accepts exactly the *bad* view
+  // words. It is never built: this stage marks the product states A4 keeps,
+  // and R's subset construction reads the product table through them.
+  const DfaProjection a4 = [&] {
     obs::Span span("rewrite.A4");
-    a4 = Trim(Project(DfaToNfa(*product_dfa), ProjectionMapping(alphabet),
-                      2 * alphabet.num_views));
-    span.Note("states", a4.NumStates());
-  }
+    DfaProjection projection(*product_dfa, ProjectionMapping(alphabet),
+                             2 * alphabet.num_views);
+    span.Note("states", projection.NumStates());
+    return projection;
+  }();
   stats->a4_states = a4.NumStates();
-  {
-    // A4 lives over Σ_E± (one forward/inverse symbol pair per view).
-    NfaValidateOptions a4_options;
-    a4_options.require_signed_alphabet = true;
-    a4_options.expected_num_symbols = 2 * alphabet.num_views;
-    RPQI_VALIDATE_STAGE(ValidateNfa(a4, a4_options));
-  }
 
   // R = complement of A4.
   obs::Span r_span("rewrite.R");
@@ -192,7 +201,7 @@ StatusOr<MaximalRewriting> ComputeExactRewriting(
   MaximalRewriting result;
   result.dfa = std::move(rewriting);
   result.stats = *stats;
-  result.empty = !ShortestAcceptedWord(DfaToNfa(result.dfa)).has_value();
+  result.empty = IsEmpty(result.dfa);
   return result;
 }
 
@@ -370,15 +379,15 @@ StatusOr<bool> MaximalRewritingNonEmpty(const Nfa& query,
 
 std::string RewritingToString(const Dfa& rewriting,
                               const std::vector<std::string>& view_names) {
-  RPQI_CHECK_EQ(static_cast<int>(view_names.size()) * 2,
-                rewriting.num_symbols());
-  std::vector<RegexPtr> atoms;
-  atoms.reserve(rewriting.num_symbols());
-  for (size_t view = 0; view < view_names.size(); ++view) {
-    atoms.push_back(RAtom(view_names[view], false));
-    atoms.push_back(RAtom(view_names[view], true));
-  }
-  return RegexToString(NfaToRegex(DfaToNfa(rewriting), atoms));
+  return RegexToString(RewritingToRegex(rewriting, view_names));
+}
+
+StatusOr<std::string> RenderRewriting(
+    const MaximalRewriting& rewriting,
+    const std::vector<std::string>& view_names, Budget* budget) {
+  if (rewriting.empty) return std::string("%empty");
+  return RegexToString(RewritingToRegex(rewriting.dfa, view_names),
+                       rewriting.exhaustive ? budget : nullptr);
 }
 
 }  // namespace rpqi

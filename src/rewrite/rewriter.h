@@ -122,6 +122,17 @@ StatusOr<bool> MaximalRewritingNonEmpty(const Nfa& query,
 std::string RewritingToString(const Dfa& rewriting,
                               const std::vector<std::string>& view_names);
 
+/// The `rewriting` text a response carries: "%empty" when R is empty, else
+/// RewritingToString's. The expression can be exponentially longer than R,
+/// so an exhaustive rewriting renders under `budget` and yields the budget's
+/// status once it runs out. A partial rewriting exists because the budget
+/// already ran out; its few short certified words bound its text, so it
+/// renders unbudgeted. Render before any later step that may spend the
+/// budget (the exactness check), or a spent budget fails the rendering.
+StatusOr<std::string> RenderRewriting(
+    const MaximalRewriting& rewriting,
+    const std::vector<std::string>& view_names, Budget* budget);
+
 }  // namespace rpqi
 
 #endif  // RPQI_REWRITE_REWRITER_H_

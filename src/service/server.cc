@@ -105,19 +105,6 @@ void RenderAnswers(const GraphDb& db, CachedPlan* plan) {
   out.shrink_to_fit();  // the cache budget counts capacity, not size
 }
 
-/// Renders a rewrite plan's `rewriting` string: "%empty", or R as a regex
-/// over the view names by state elimination.
-void RenderRewriting(CachedPlan* plan) {
-  obs::Span span("rewrite.render");
-  const MaximalRewriting& rewriting = *plan->rewriting;
-  std::string text = "%empty";
-  if (!rewriting.empty) {
-    text = RewritingToString(rewriting.dfa, plan->view_names);
-  }
-  plan->rendered = Json::Str(std::move(text)).Dump();
-  plan->rendered.shrink_to_fit();
-}
-
 /// Required string member; InvalidArgument naming the key otherwise.
 StatusOr<std::string> RequireString(const Json& body, const char* key) {
   const Json* value = body.Find(key);
@@ -736,6 +723,16 @@ StatusOr<JsonObject> Server::OpRewrite(const Request& request, Budget* budget,
                           ComputeMaximalRewriting(query, view_nfas, options));
     auto fresh = std::make_shared<CachedPlan>();
     fresh->view_names = views.names;
+    {
+      // Rendered once, into the plan, before the exactness check can spend
+      // the budget; out of budget here, the request fails and nothing is
+      // cached.
+      obs::Span span("rewrite.render");
+      RPQI_ASSIGN_OR_RETURN(std::string text,
+                            RenderRewriting(rewriting, views.names, budget));
+      fresh->rendered = Json::Str(std::move(text)).Dump();
+      fresh->rendered.shrink_to_fit();
+    }
     if (rewriting.exhaustive && !rewriting.empty) {
       // Out of deadline or quota, the exactness check leaves `exact`
       // unknown and names the cause; cancellation fails the request.
@@ -751,7 +748,6 @@ StatusOr<JsonObject> Server::OpRewrite(const Request& request, Budget* budget,
     }
     bool exhaustive = rewriting.exhaustive;
     fresh->rewriting = std::move(rewriting);
-    RenderRewriting(fresh.get());
     // Only complete results are cached: a degraded partial rewriting or an
     // unknown `exact` reflects this request's budget, not the query, and
     // must not be served to better-funded callers.

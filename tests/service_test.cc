@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -481,6 +482,65 @@ TEST(ServerTest, RewriteExactnessObeysTheStateQuota) {
   EXPECT_EQ(FindField(hit, "cache")->string_value(), "hit");
   EXPECT_TRUE(FindField(hit, "exact")->bool_value());
   EXPECT_EQ(hit.Find("exact_cause"), nullptr);
+}
+
+TEST(ServerTest, RewriteRendersBeforeTheExactnessCheckSpendsTheQuota) {
+  // The hard family at k = 3: the pipeline fits a quota of 240 states, its
+  // exactness search does not, and R's regex renders as some 20 KB, past
+  // the printer's first budget check. A budget the exactness search has
+  // spent keeps failing, so the rewriting must be rendered before it: the
+  // response keeps the rewriting, answers `exact` null with its cause, and
+  // is not cached.
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.Init().ok());
+  const std::string body =
+      R"json("op":"rewrite","query":"(a | b)* a (a | b) (a | b) (a | b)",)json"
+      R"json("views":{"va":"a","vb":"b"})json";
+  const std::string limited = R"({"id":1,)" + body + R"(,"max_states":240})";
+  std::string limited_text;
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    Json response = Handle(server, limited);
+    ASSERT_EQ(FindField(response, "status")->string_value(), "ok")
+        << response.Dump();
+    EXPECT_EQ(FindField(response, "cache")->string_value(), "miss");
+    EXPECT_TRUE(FindField(response, "exhaustive")->bool_value());
+    EXPECT_TRUE(FindField(response, "exact")->is_null());
+    EXPECT_EQ(FindField(response, "exact_cause")->string_value(),
+              "ResourceExhausted: state quota of 240 exceeded");
+    limited_text = FindField(response, "rewriting")->string_value();
+  }
+  EXPECT_GT(limited_text.size(), 16384u);
+  Json stats = Handle(server, R"({"id":2,"op":"admin","action":"stats"})");
+  EXPECT_EQ(FindField(stats, "plan_cache")->Find("inserts")->int_value(), 0);
+  Json full = Handle(server, R"({"id":3,)" + body + "}");
+  EXPECT_EQ(FindField(full, "cache")->string_value(), "miss");
+  EXPECT_TRUE(FindField(full, "exact")->bool_value());
+  EXPECT_EQ(FindField(full, "rewriting")->string_value(), limited_text);
+}
+
+TEST(ServerTest, RewriteRenderingObeysTheDeadline) {
+  // The hard family at k = 5 has a 65-state R, computed in milliseconds,
+  // whose regex prints as hundreds of megabytes: state elimination shares
+  // subexpressions that the text repeats. Rendering stops at the deadline,
+  // the request fails with it, and nothing is cached.
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.Init().ok());
+  const std::string line =
+      R"json({"id":1,"op":"rewrite",)json"
+      R"json("query":"(a | b)* a (a | b) (a | b) (a | b) (a | b) (a | b)",)json"
+      R"json("views":{"va":"a","vb":"b"},"timeout_ms":300})json";
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const auto start = std::chrono::steady_clock::now();
+    Json response = Handle(server, line);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_EQ(FindField(response, "code")->string_value(),
+              "deadline_exceeded");
+    EXPECT_LT(elapsed, std::chrono::milliseconds(2 * 300 + 400));
+  }
+  Json stats = Handle(server, R"({"id":2,"op":"admin","action":"stats"})");
+  const Json* cache = FindField(stats, "plan_cache");
+  EXPECT_EQ(cache->Find("inserts")->int_value(), 0);
+  EXPECT_EQ(cache->Find("entries")->int_value(), 0);
 }
 
 TEST(ServerTest, AnswerOdaAndCdaAgreeOnExactView) {

@@ -6,6 +6,7 @@ Usage: cli_obs_test.py PATH_TO_RPQI_BINARY
 Drives the built `rpqi` binary end to end:
   * exit codes 0/1/2/3/4 through real commands (5, cancellation, has no CLI
     trigger — its mapping is covered by the base_test unit test);
+  * a rewrite whose regex is too long to print by its deadline exits 4;
   * --trace-out produces valid NDJSON whose spans cover every rewrite stage
     (rewrite.A1 .. rewrite.R) with positive ids, well-formed parent links,
     and durations;
@@ -21,6 +22,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 FAILURES = []
 
@@ -33,9 +35,14 @@ def check(label, condition, detail=""):
         print(f"FAIL: {label} {detail}")
 
 
-def run(binary, *args):
-    return subprocess.run([binary] + list(args), capture_output=True,
-                          text=True)
+def run(binary, *args, timeout=None):
+    """The finished process; past `timeout` seconds it is killed and its
+    returncode reads None."""
+    try:
+        return subprocess.run([binary] + list(args), capture_output=True,
+                              text=True, timeout=timeout)
+    except subprocess.TimeoutExpired as expired:
+        return subprocess.CompletedProcess(expired.cmd, None, "", "")
 
 
 def load_ndjson(path):
@@ -77,6 +84,19 @@ def main():
     check("exit 4 on deadline",
           run(binary, "contains", "--query", hard, "--in", hard,
               "--timeout-ms", "1").returncode == 4)
+    # Rendering obeys the deadline: R of the hard family at k = 5 takes
+    # milliseconds, but its regex prints as hundreds of megabytes.
+    started = time.monotonic()
+    rendered = run(binary, "rewrite", "--query",
+                   "(a | b)* a" + " (a | b)" * 5, "--view", "va=a",
+                   "--view", "vb=b", "--timeout-ms", "1000", timeout=10)
+    render_s = time.monotonic() - started
+    render_errors = [line for line in rendered.stderr.splitlines()
+                     if line.startswith("error:")]
+    check("rewrite past its deadline while rendering exits 4 within 3 s",
+          rendered.returncode == 4 and render_s < 3.0
+          and len(render_errors) == 1,
+          (rendered.returncode, round(render_s, 2), rendered.stderr[-300:]))
     # The exactness check obeys the quota too: this pipeline fits 128 states
     # and its exactness search does not, so `exact` is unknown, with cause.
     result = run(binary, "rewrite", "--query", "(a | b)* a (a | b) (a | b)",
@@ -85,6 +105,16 @@ def main():
           result.returncode == 0 and
           "exact: unknown (ResourceExhausted: state quota of 128 exceeded)"
           in result.stdout.splitlines(), result.stdout + result.stderr)
+    # The same at k = 3, whose regex (about 20 KB) renders past the printer's
+    # first budget check: it is printed before the exactness search spends
+    # the quota, as `rpqi serve` renders it.
+    result = run(binary, "rewrite", "--query", "(a | b)* a" + " (a | b)" * 3,
+                 "--view", "va=a", "--view", "vb=b", "--max-states", "240")
+    lines = result.stdout.splitlines()
+    check("rewrite renders a long rewriting before exactness runs out",
+          result.returncode == 0 and lines and len(lines[0]) > 16384 and
+          "exact: unknown (ResourceExhausted: state quota of 240 exceeded)"
+          in lines, result.stdout[-300:] + result.stderr)
 
     # --- trace NDJSON over the rewrite pipeline ---------------------------
     trace_path = os.path.join(tmp, "trace.ndjson")

@@ -282,24 +282,20 @@ StatusOr<int> CmdRewrite(const FlagMap& flags) {
   }
   RPQI_ASSIGN_OR_RETURN(MaximalRewriting rewriting,
                         ComputeMaximalRewriting(query, views, options));
-  if (rewriting.empty) {
-    std::printf("rewriting: %%empty\n");
-  } else {
-    std::printf("rewriting: %s\n",
-                RewritingToString(rewriting.dfa, view_names).c_str());
-    if (rewriting.exhaustive) {
-      // Out of deadline or quota the verdict is unknown; cancellation ends
-      // the command.
-      StatusOr<bool> exact =
-          IsExactRewriting(query, views, rewriting.dfa, run.get());
-      if (exact.ok()) {
-        std::printf("exact: %s\n", *exact ? "yes" : "no");
-      } else if (exact.status().code() == Status::Code::kCancelled) {
-        return exact.status();
-      } else {
-        std::printf("exact: unknown (%s)\n",
-                    exact.status().ToString().c_str());
-      }
+  RPQI_ASSIGN_OR_RETURN(std::string text,
+                        RenderRewriting(rewriting, view_names, run.get()));
+  std::printf("rewriting: %s\n", text.c_str());
+  if (rewriting.exhaustive && !rewriting.empty) {
+    // Out of deadline or quota the verdict is unknown; cancellation ends the
+    // command.
+    StatusOr<bool> exact =
+        IsExactRewriting(query, views, rewriting.dfa, run.get());
+    if (exact.ok()) {
+      std::printf("exact: %s\n", *exact ? "yes" : "no");
+    } else if (exact.status().code() == Status::Code::kCancelled) {
+      return exact.status();
+    } else {
+      std::printf("exact: unknown (%s)\n", exact.status().ToString().c_str());
     }
   }
   if (!rewriting.exhaustive) {
