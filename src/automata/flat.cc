@@ -190,21 +190,21 @@ FlatNfa CompileFlat(const Nfa& input) {
   return flat;
 }
 
-void SubsetStepAll(const FlatNfa& flat, const Bitset& subset,
+void SubsetStepAll(const FlatNfa& flat, std::span<const uint64_t> subset,
                    std::vector<Bitset>* next) {
   RPQI_DCHECK(static_cast<int>(next->size()) == flat.num_symbols());
+  RPQI_DCHECK(subset.size() == flat.accepting_words().size());
   for (Bitset& successors : *next) successors.Clear();
-  for (int s = subset.NextSetBit(0); s >= 0; s = subset.NextSetBit(s + 1)) {
+  ForEachSetBit(subset.data(), subset.size(), [&](int s) {
     for (const FlatNfa::Edge& e : flat.Edges(s)) (*next)[e.symbol].Set(e.to);
-  }
+  });
 }
 
-bool SubsetAccepts(const FlatNfa& flat, const Bitset& subset) {
-  const std::vector<uint64_t>& words = subset.words();
+bool SubsetAccepts(const FlatNfa& flat, std::span<const uint64_t> subset) {
   const std::vector<uint64_t>& accepting = flat.accepting_words();
-  RPQI_DCHECK(words.size() == accepting.size());
-  for (size_t i = 0; i < words.size(); ++i) {
-    if (words[i] & accepting[i]) return true;
+  RPQI_DCHECK(subset.size() == accepting.size());
+  for (size_t i = 0; i < subset.size(); ++i) {
+    if (subset[i] & accepting[i]) return true;
   }
   return false;
 }

@@ -150,13 +150,16 @@ FlatNfa CompileFlat(const Nfa& nfa);
 /// (*next)[a] holds the a-successors of `subset`, for each symbol a. Each
 /// member's edge span is walked once, so one subset's successors on all of
 /// Σ cost the members' out-degree (plus clearing the |Σ| bitsets) instead
-/// of one index lookup per (member, symbol). `next` is caller-owned scratch
-/// of num_symbols() bitsets over NumStates() bits.
-void SubsetStepAll(const FlatNfa& flat, const Bitset& subset,
+/// of one index lookup per (member, symbol). `subset` is the words of a
+/// state set (ceil(NumStates() / 64) of them, as an interner keeps it);
+/// `next` is caller-owned scratch of num_symbols() bitsets over NumStates()
+/// bits.
+void SubsetStepAll(const FlatNfa& flat, std::span<const uint64_t> subset,
                    std::vector<Bitset>* next);
 
-/// True when `subset` (over NumStates() bits) contains an accepting state.
-bool SubsetAccepts(const FlatNfa& flat, const Bitset& subset);
+/// True when `subset` (the words of a state set over NumStates() bits)
+/// contains an accepting state.
+bool SubsetAccepts(const FlatNfa& flat, std::span<const uint64_t> subset);
 
 /// A serializable compiled plan: the flat automaton plus an opaque caller
 /// tag (the serving layer stores the full plan-cache key and compares it on

@@ -40,9 +40,8 @@ LazySubsetDfa::LazySubsetDfa(const Nfa& nfa, bool complement)
 
 int LazySubsetDfa::Intern(const Bitset& subset) {
   int id = interner_.InternHashed(subset.words(), subset.Hash());
-  if (id == static_cast<int>(subsets_.size())) {
-    subsets_.push_back(subset);
-    accepting_.push_back(SubsetAccepts(flat_, subset));
+  if (id == static_cast<int>(accepting_.size())) {
+    accepting_.push_back(SubsetAccepts(flat_, subset.words()));
   }
   return id;
 }
@@ -54,14 +53,14 @@ int LazySubsetDfa::StartState() {
 }
 
 int LazySubsetDfa::Step(int state, int symbol) {
-  RPQI_CHECK(0 <= state && state < static_cast<int>(subsets_.size()));
+  RPQI_CHECK(0 <= state && state < static_cast<int>(accepting_.size()));
   const int num_symbols = flat_.num_symbols();
   const size_t row = static_cast<size_t>(state) * num_symbols;
   if (row >= step_cache_.size()) {
-    step_cache_.resize(subsets_.size() * num_symbols, -1);
+    step_cache_.resize(accepting_.size() * num_symbols, -1);
   }
   if (step_cache_[row + symbol] < 0) {
-    SubsetStepAll(flat_, subsets_[state], &successors_);
+    SubsetStepAll(flat_, interner_.KeyOf(state), &successors_);
     for (int a = 0; a < num_symbols; ++a) {
       step_cache_[row + a] = Intern(successors_[a]);
     }
@@ -75,13 +74,21 @@ bool LazySubsetDfa::IsAccepting(int state) {
 }
 
 bool LazySubsetDfa::IsDead(int state) {
-  return !complement_ && subsets_[state].None();
+  if (complement_) return false;
+  const std::vector<uint64_t>& words = interner_.KeyOf(state);
+  return std::all_of(words.begin(), words.end(),
+                     [](uint64_t word) { return word == 0; });
 }
 
 bool LazySubsetDfa::Subsumes(int state, int other) {
-  const Bitset& fine = subsets_[state];
-  const Bitset& coarse = subsets_[other];
-  return complement_ ? fine.IsSubsetOf(coarse) : coarse.IsSubsetOf(fine);
+  const std::vector<uint64_t>& a = interner_.KeyOf(state);
+  const std::vector<uint64_t>& b = interner_.KeyOf(other);
+  // Without complement `state` subsumes a subset of itself, with complement
+  // a superset.
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (complement_ ? (a[i] & ~b[i]) != 0 : (b[i] & ~a[i]) != 0) return false;
+  }
+  return true;
 }
 
 SubsumptionSig LazySubsetDfa::SubsumptionSignature(int state) {
@@ -90,7 +97,7 @@ SubsumptionSig LazySubsetDfa::SubsumptionSignature(int state) {
   // antitone (shrink) side — keeping the filter words sparse either way.
   SubsumptionSig signature;
   uint64_t* side = complement_ ? signature.shrink : signature.grow;
-  const std::vector<uint64_t>& words = subsets_[state].words();
+  const std::vector<uint64_t>& words = interner_.KeyOf(state);
   for (size_t i = 0; i < words.size(); ++i) side[i & 1] |= words[i];
   return signature;
 }

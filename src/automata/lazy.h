@@ -134,8 +134,7 @@ class LazySubsetDfa : public LazyDfa {
 
   FlatNfa flat_;
   bool complement_;
-  WordVectorInterner interner_;
-  std::vector<Bitset> subsets_;
+  WordVectorInterner interner_;  // id -> subset words, the one copy kept
   std::vector<bool> accepting_;
   std::vector<int> step_cache_;  // state·|Σ| + symbol -> id, -1 = row unfilled
   std::vector<Bitset> successors_;  // SubsetStepAll scratch, one per symbol

@@ -173,18 +173,18 @@ namespace {
 /// automata.determinize_state fault site, the span and counters, and the
 /// totality check on the result. `expand(subset, &successors)` sets
 /// successors[a] to the a-successor of `subset` for every symbol a (the
-/// bitsets arrive cleared) and returns whether `subset` accepts.
+/// bitsets arrive cleared) and returns whether `subset` accepts; `subset` is
+/// the interner's key, the words of the state set, which is the one copy
+/// of each subset kept.
 template <typename Expand>
-StatusOr<Dfa> BuildSubsetDfa(int num_symbols, int num_states, Bitset start,
-                             int64_t max_states, Budget* budget,
-                             Expand expand) {
+StatusOr<Dfa> BuildSubsetDfa(int num_symbols, int num_states,
+                             const Bitset& start, int64_t max_states,
+                             Budget* budget, Expand expand) {
   static const obs::Counter runs_counter("determinize.runs");
   static const obs::Counter states_counter("determinize.states");
   obs::Span span("automata.determinize");
   WordVectorInterner interner;
-  std::vector<Bitset> subset_of;  // interned id -> subset
   interner.InternHashed(start.words(), start.Hash());
-  subset_of.push_back(std::move(start));
 
   std::vector<int> next;  // row-major transition table
   std::vector<bool> accepting;
@@ -192,11 +192,12 @@ StatusOr<Dfa> BuildSubsetDfa(int num_symbols, int num_states, Bitset start,
   for (int id = 0; id < interner.size(); ++id) {
     RPQI_RETURN_IF_ERROR(BudgetCheck(budget));
     for (Bitset& successor : successors) successor.Clear();
-    accepting.push_back(expand(subset_of[id], &successors));
+    accepting.push_back(expand(interner.KeyOf(id), &successors));
     for (int a = 0; a < num_symbols; ++a) {
       const Bitset& successor = successors[a];
+      const int fresh_id = interner.size();
       int next_id = interner.InternHashed(successor.words(), successor.Hash());
-      if (next_id == static_cast<int>(subset_of.size())) {
+      if (next_id == fresh_id) {
         if (interner.size() > max_states) {
           return Status::ResourceExhausted("subset construction exceeded " +
                                            std::to_string(max_states) +
@@ -209,7 +210,6 @@ StatusOr<Dfa> BuildSubsetDfa(int num_symbols, int num_states, Bitset start,
                              "injected state-allocation failure in subset "
                              "construction"));
         RPQI_RETURN_IF_ERROR(BudgetCharge(budget, 1));
-        subset_of.push_back(successor);
       }
       next.push_back(next_id);
     }
@@ -238,8 +238,9 @@ StatusOr<Dfa> DeterminizeWithLimit(const Nfa& input, int64_t max_states,
   Bitset start(flat.NumStates());
   for (int s : flat.InitialStates()) start.Set(s);
   return BuildSubsetDfa(
-      flat.num_symbols(), flat.NumStates(), std::move(start), max_states,
-      budget, [&flat](const Bitset& subset, std::vector<Bitset>* successors) {
+      flat.num_symbols(), flat.NumStates(), start, max_states, budget,
+      [&flat](const std::vector<uint64_t>& subset,
+              std::vector<Bitset>* successors) {
         SubsetStepAll(flat, subset, successors);
         return SubsetAccepts(flat, subset);
       });
@@ -337,13 +338,14 @@ StatusOr<Dfa> DeterminizeWithLimit(const DfaProjection& projection,
   Bitset closure(n);
   std::vector<int> stack;
   return BuildSubsetDfa(
-      projection.num_symbols(), n, std::move(start), max_states, budget,
-      [&](const Bitset& subset, std::vector<Bitset>* successors) {
-        closure = subset;
-        for (int q = subset.NextSetBit(0); q >= 0;
-             q = subset.NextSetBit(q + 1)) {
+      projection.num_symbols(), n, start, max_states, budget,
+      [&](const std::vector<uint64_t>& subset,
+          std::vector<Bitset>* successors) {
+        closure.Clear();
+        ForEachSetBit(subset.data(), subset.size(), [&](int q) {
+          closure.Set(q);
           stack.push_back(q);
-        }
+        });
         bool accepts = false;
         while (!stack.empty()) {
           const int q = stack.back();

@@ -2,75 +2,189 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
+#include <utility>
 
+#include "base/bitset.h"
 #include "base/hash.h"
 
 namespace rpqi {
 
 namespace {
 
-/// Calls fn(state) for every set bit in the `words`-word state-set mask.
-template <typename Fn>
-inline void ForEachState(const uint64_t* mask, int words, Fn fn) {
-  for (int w = 0; w < words; ++w) {
-    uint64_t bits = mask[w];
-    while (bits != 0) {
-      fn((w << 6) + __builtin_ctzll(bits));
-      bits &= bits - 1;
+inline void SetBit(uint64_t* mask, int i) {
+  mask[i >> 6] |= uint64_t{1} << (i & 63);
+}
+
+inline void OrInto(uint64_t* to, const uint64_t* from, int words) {
+  for (int w = 0; w < words; ++w) to[w] |= from[w];
+}
+
+/// Word w of the union of the rows i ∈ `mask` (a `mask_words`-word set) of
+/// `rows`, a table of `row_words`-word rows. A step builds every output word
+/// in a register this way: no buffer is cleared and no row is ORed in place.
+inline uint64_t UnionOfRows(const uint64_t* mask, int mask_words,
+                            const uint64_t* rows, int row_words, int w) {
+  uint64_t acc = 0;
+  ForEachSetBit(mask, mask_words, [&](int i) {
+    acc |= rows[static_cast<size_t>(i) * row_words + w];
+  });
+  return acc;
+}
+
+/// Unions one symbol's row tables over its stay moves: afterwards the row of
+/// every state s, in both tables, is the union of the rows of the states s
+/// reaches by stay moves (s included). The stay graph is a CSR: the targets
+/// of s are to[begin[s] .. begin[s + 1]). Tarjan's algorithm completes a
+/// strongly connected component only after every component it reaches, so
+/// each component's union reads settled rows only, and the whole closure
+/// costs O(n + stay edges) row unions.
+class StayClosure {
+ public:
+  explicit StayClosure(int n) : index_(n, -1), low_(n), component_(n, -1) {}
+
+  void Close(const std::vector<int>& begin, const std::vector<int>& to,
+             uint64_t* right, int right_words, uint64_t* left,
+             int left_words) {
+    const int n = static_cast<int>(index_.size());
+    std::fill(index_.begin(), index_.end(), -1);
+    std::fill(component_.begin(), component_.end(), -1);
+    int next_index = 0;
+    auto open = [&](int s) {
+      index_[s] = low_[s] = next_index++;
+      stack_.push_back(s);
+      path_.push_back({s, begin[s]});
+    };
+    auto unite = [&](int into, int from) {
+      OrInto(right + static_cast<size_t>(into) * right_words,
+             right + static_cast<size_t>(from) * right_words, right_words);
+      OrInto(left + static_cast<size_t>(into) * left_words,
+             left + static_cast<size_t>(from) * left_words, left_words);
+    };
+    for (int root = 0; root < n; ++root) {
+      // A state without stay moves is its own closure.
+      if (index_[root] >= 0 || begin[root] == begin[root + 1]) continue;
+      open(root);
+      while (!path_.empty()) {
+        const int s = path_.back().first;
+        if (path_.back().second < begin[s + 1]) {
+          const int t = to[path_.back().second++];
+          if (index_[t] < 0) {
+            open(t);
+          } else if (component_[t] < 0) {  // t is still on the stack
+            low_[s] = std::min(low_[s], index_[t]);
+          }
+          continue;
+        }
+        path_.pop_back();
+        if (!path_.empty()) {
+          int& parent_low = low_[path_.back().first];
+          parent_low = std::min(parent_low, low_[s]);
+        }
+        if (low_[s] != index_[s]) continue;
+        // s roots a component: the stack from s up. Its row collects the
+        // members' rows and the settled rows of the components they reach.
+        size_t first = stack_.size();
+        do {
+          --first;
+          component_[stack_[first]] = s;
+        } while (stack_[first] != s);
+        for (size_t i = first; i < stack_.size(); ++i) {
+          const int u = stack_[i];
+          if (u != s) unite(s, u);
+          for (int e = begin[u]; e < begin[u + 1]; ++e) {
+            if (component_[to[e]] != s) unite(s, to[e]);
+          }
+        }
+        for (size_t i = first + 1; i < stack_.size(); ++i) {
+          unite(stack_[i], s);
+        }
+        stack_.resize(first);
+      }
     }
   }
-}
+
+ private:
+  std::vector<int> index_, low_;
+  std::vector<int> component_;  // root of the state's component, -1 = open
+  std::vector<int> stack_;
+  std::vector<std::pair<int, int>> path_;  // (state, next edge) of the DFS
+};
 
 }  // namespace
 
 LazyTableDfa::LazyTableDfa(const TwoWayNfa& two_way, bool complement)
-    : two_way_(two_way),
+    : num_symbols_(two_way.num_symbols()),
       complement_(complement),
       n_(two_way.NumStates()),
-      words_per_set_((two_way.NumStates() + 63) / 64),
-      accepting_states_(two_way.NumStates()),
-      left_targets_(two_way.NumStates()) {
+      words_((two_way.NumStates() + 63) / 64) {
+  // Live rows: the states some left move lands in, numbered in state order.
+  std::vector<int> row_of(n_, -1);
   for (int s = 0; s < n_; ++s) {
-    if (two_way_.IsAccepting(s)) accepting_states_.Set(s);
-  }
-  // Behavior rows are only ever consulted when a left move lands in their
-  // state (see ComputeStep); rows of states that are never left-move targets
-  // are dead and get masked out before interning, which collapses otherwise
-  // distinct table states into one.
-  for (int s = 0; s < n_; ++s) {
-    for (int symbol = 0; symbol < two_way_.num_symbols(); ++symbol) {
-      for (const TwoWayNfa::Transition& t : two_way_.TransitionsOn(s, symbol)) {
-        if (t.move == Move::kLeft) left_targets_.Set(t.to);
+    for (int a = 0; a < num_symbols_; ++a) {
+      for (const TwoWayNfa::Transition& t : two_way.TransitionsOn(s, a)) {
+        if (t.move == Move::kLeft) row_of[t.to] = 0;
       }
     }
   }
-  row_index_.assign(n_, -1);
   for (int s = 0; s < n_; ++s) {
-    if (left_targets_.Test(s)) {
-      row_index_[s] = num_live_rows_;
-      ++num_live_rows_;
-    }
+    if (row_of[s] < 0) continue;
+    row_of[s] = num_live_rows_++;
+    live_states_.push_back(s);
   }
+  live_words_ = (num_live_rows_ + 63) / 64;
+
+  const size_t key_words = static_cast<size_t>(words_) * (num_live_rows_ + 1);
+  start_key_.assign(key_words, 0);
+  accepting_.assign(words_, 0);
+  for (int s = 0; s < n_; ++s) {
+    if (two_way.IsInitial(s)) SetBit(start_key_.data(), s);
+    if (two_way.IsAccepting(s)) SetBit(accepting_.data(), s);
+  }
+
+  stay_right_.assign(static_cast<size_t>(num_symbols_) * n_ * words_, 0);
+  stay_left_.assign(static_cast<size_t>(num_symbols_) * n_ * live_words_, 0);
+  std::vector<int> stay_begin(n_ + 1);
+  std::vector<int> stay_to;
+  std::optional<StayClosure> closure;
+  for (int a = 0; a < num_symbols_; ++a) {
+    uint64_t* right = stay_right_.data() + static_cast<size_t>(a) * n_ * words_;
+    uint64_t* left =
+        stay_left_.data() + static_cast<size_t>(a) * n_ * live_words_;
+    stay_to.clear();
+    for (int s = 0; s < n_; ++s) {
+      stay_begin[s] = static_cast<int>(stay_to.size());
+      for (const TwoWayNfa::Transition& t : two_way.TransitionsOn(s, a)) {
+        switch (t.move) {
+          case Move::kStay: stay_to.push_back(t.to); break;
+          case Move::kLeft:
+            SetBit(left + static_cast<size_t>(s) * live_words_, row_of[t.to]);
+            break;
+          case Move::kRight:
+            SetBit(right + static_cast<size_t>(s) * words_, t.to);
+            break;
+        }
+      }
+    }
+    stay_begin[n_] = static_cast<int>(stay_to.size());
+    if (stay_to.empty()) continue;
+    if (!closure) closure.emplace(n_);
+    closure->Close(stay_begin, stay_to, right, words_, left, live_words_);
+  }
+
+  exit_.assign(static_cast<size_t>(num_live_rows_) * words_, 0);
+  nested_.assign(static_cast<size_t>(num_live_rows_ + 1) * live_words_, 0);
+  key_.assign(key_words, 0);
 }
 
 int LazyTableDfa::StartState() {
-  // Compact key: the reach set followed by the live (left-target) behavior
-  // rows, all empty initially except R = initial states.
-  Bitset reach(n_);
-  for (int s : two_way_.InitialStates()) reach.Set(s);
-  std::vector<uint64_t> key(
-      static_cast<size_t>(words_per_set_) * (num_live_rows_ + 1), 0);
-  for (int w = 0; w < words_per_set_; ++w) key[w] = reach.words()[w];
-  int id = interner_.InternHashed(key, HashWords(key));
-  if (id == static_cast<int>(b_of_.size())) b_of_.push_back(-1);
-  return id;
+  return interner_.InternHashed(start_key_, HashWords(start_key_));
 }
 
 int LazyTableDfa::Step(int state, int symbol) {
-  const int num_symbols = two_way_.num_symbols();
-  size_t index = static_cast<size_t>(state) * num_symbols + symbol;
+  size_t index = static_cast<size_t>(state) * num_symbols_ + symbol;
   if (index >= step_cache_.size()) {
-    step_cache_.resize(static_cast<size_t>(interner_.size()) * num_symbols,
+    step_cache_.resize(static_cast<size_t>(interner_.size()) * num_symbols_,
                        -1);
   }
   int& cached = step_cache_[index];
@@ -79,295 +193,74 @@ int LazyTableDfa::Step(int state, int symbol) {
 }
 
 int LazyTableDfa::ComputeStep(int state, int symbol) {
-  if (masks_.empty()) BuildMasks();
-  // Adaptive bail-out: filling a BStep pays a full-n closure that only
-  // amortizes when (B part, symbol) pairs recur. Require a 25% hit rate once
-  // past the warm-up window, else step without touching the cache (or even
-  // interning B parts — see BPartOf).
-  if (b_step_misses_ > 128 && b_step_hits_ * 3 < b_step_misses_) {
-    return ComputeStepDirect(state, symbol);
-  }
-  int b_id = BPartOf(state);
-  uint64_t cache_key = PairKey(b_id, symbol);
-  auto it = b_step_index_.find(cache_key);
-  if (it != b_step_index_.end()) {
-    ++b_step_hits_;
-    return ApplyBStep(state, b_steps_[it->second]);
-  }
-  ++b_step_misses_;
-  return ApplyBStep(state, ComputeBStep(cache_key, b_id, symbol));
-}
+  const int W = words_;
+  const int LW = live_words_;
+  const int L = num_live_rows_;
+  const uint64_t* stay_right =
+      stay_right_.data() + static_cast<size_t>(symbol) * n_ * W;
+  const uint64_t* stay_left =
+      stay_left_.data() + static_cast<size_t>(symbol) * n_ * LW;
+  uint64_t* exit = exit_.data();
+  uint64_t* nested = nested_.data();
+  const uint64_t* reach = interner_.KeyOf(state).data();
+  const uint64_t* behavior = reach + W;  // live row r at behavior[r * W]
 
-int LazyTableDfa::BPartOf(int state) {
-  int& b = b_of_[state];
-  if (b < 0) {
-    const std::vector<uint64_t>& key = interner_.KeyOf(state);
-    std::vector<uint64_t> b_words(key.begin() + words_per_set_, key.end());
-    b = b_interner_.InternHashed(b_words, HashWords(b_words));
-  }
-  return b;
-}
-
-int LazyTableDfa::ApplyBStep(int state, const BStep& bs) {
-  const int W = words_per_set_;
-  const std::vector<uint64_t>& key = interner_.KeyOf(state);
-
-  // R' = ⋃ { closure-result row of s : s ∈ R } — every state the two-way
-  // automaton can hand to the next cell after stay/left excursions from R.
-  if (W == 1) {
-    uint64_t acc = 0;
-    uint64_t bits = key[0];
-    while (bits != 0) {
-      acc |= bs.rows[__builtin_ctzll(bits)];
-      bits &= bits - 1;
+  // A run that goes left into row r comes back in some u ∈ B[r]: exit[r]
+  // starts as the right exits of those u, nested[r] collects the rows they
+  // go left into again.
+  uint64_t any_nested = 0;
+  for (int r = 0; r < L; ++r) {
+    const uint64_t* back = behavior + static_cast<size_t>(r) * W;
+    uint64_t* out = exit + static_cast<size_t>(r) * W;
+    uint64_t* again = nested + static_cast<size_t>(r) * LW;
+    for (int w = 0; w < W; ++w) out[w] = UnionOfRows(back, W, stay_right, W, w);
+    for (int w = 0; w < LW; ++w) {
+      again[w] = UnionOfRows(back, W, stay_left, LW, w);
+      any_nested |= again[w];
     }
-    scratch_key_[0] = acc;
-  } else {
-    for (int w = 0; w < W; ++w) scratch_key_[w] = 0;
-    ForEachState(key.data(), W, [&](int s) {
-      const uint64_t* row = &bs.rows[static_cast<size_t>(s) * W];
-      for (int w = 0; w < W; ++w) scratch_key_[w] |= row[w];
-    });
   }
-  std::copy(bs.new_b_words.begin(), bs.new_b_words.end(),
-            scratch_key_.begin() + W);
-  int id = interner_.InternHashed(scratch_key_, HashWords(scratch_key_));
-  if (id == static_cast<int>(b_of_.size())) b_of_.push_back(bs.new_b_id);
-  return id;
-}
-
-int LazyTableDfa::ComputeStepDirect(int state, int symbol) {
-  if (words_per_set_ == 1) return ComputeStepDirect1(state, symbol);
-  const int W = words_per_set_;
-  const SymbolMasks& masks = masks_[symbol];
-  const std::vector<uint64_t>& key = interner_.KeyOf(state);
-  const uint64_t* b_section = key.data() + W;
-  uint64_t* one_step = scratch_one_step_.data();
-  uint64_t* rows = scratch_rows_.data();
-
-  // Discover the states whose closure rows are actually needed — the reach
-  // set (for R') and the live rows (for B') — closed under one-step edges,
-  // building one_step and seeding rows with the right-move targets as we go.
-  scratch_order_.clear();
-  size_t built = 0;
-  auto discover = [&](int s) {
-    if (!scratch_visited_[s]) {
-      scratch_visited_[s] = 1;
-      scratch_order_.push_back(s);
+  // Nested excursions: exit[r] ∪= exit[q] for q ∈ nested[r], to the least
+  // fixpoint (Gauss-Seidel over the live rows).
+  for (bool changed = any_nested != 0; changed;) {
+    changed = false;
+    for (int r = 0; r < L; ++r) {
+      uint64_t* out = exit + static_cast<size_t>(r) * W;
+      const uint64_t* again = nested + static_cast<size_t>(r) * LW;
+      for (int w = 0; w < W; ++w) {
+        const uint64_t grown = out[w] | UnionOfRows(again, LW, exit, W, w);
+        changed = changed || grown != out[w];
+        out[w] = grown;
+      }
     }
-  };
-  ForEachState(key.data(), W, discover);
-  ForEachState(left_targets_.words().data(), W, discover);
-  while (built < scratch_order_.size()) {
-    int s = scratch_order_[built++];
-    uint64_t* row = &one_step[static_cast<size_t>(s) * W];
+  }
+
+  // R' = stay_right(R) ∪ exit over stay_left(R); the spare row L of nested_
+  // holds stay_left(R).
+  uint64_t* reach_left = nested + static_cast<size_t>(L) * LW;
+  for (int w = 0; w < LW; ++w) {
+    reach_left[w] = UnionOfRows(reach, W, stay_left, LW, w);
+  }
+  for (int w = 0; w < W; ++w) {
+    key_[w] = UnionOfRows(reach, W, stay_right, W, w) |
+              UnionOfRows(reach_left, LW, exit, W, w);
+  }
+  // B'[t] = stay_right[t] ∪ exit over stay_left[t], for each live row t.
+  for (int r = 0; r < L; ++r) {
+    const size_t t = static_cast<size_t>(live_states_[r]);
+    uint64_t* row = key_.data() + static_cast<size_t>(r + 1) * W;
     for (int w = 0; w < W; ++w) {
-      row[w] = masks.stay[static_cast<size_t>(s) * W + w];
-      rows[static_cast<size_t>(s) * W + w] =
-          masks.right[static_cast<size_t>(s) * W + w];
-    }
-    ForEachState(&masks.left[static_cast<size_t>(s) * W], W, [&](int t) {
-      const uint64_t* behavior =
-          &b_section[static_cast<size_t>(row_index_[t]) * W];
-      for (int w = 0; w < W; ++w) row[w] |= behavior[w];
-    });
-    ForEachState(row, W, discover);
-  }
-  // Least fixpoint rows[s] = right[s] ∪ ⋃_{t ∈ one_step[s]} rows[t],
-  // Gauss-Seidel in reverse discovery order (targets tend to be discovered
-  // after their sources, so sources see settled targets first).
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (size_t i = scratch_order_.size(); i-- > 0;) {
-      int s = scratch_order_[i];
-      uint64_t* result = &rows[static_cast<size_t>(s) * W];
-      ForEachState(&one_step[static_cast<size_t>(s) * W], W, [&](int t) {
-        const uint64_t* from = &rows[static_cast<size_t>(t) * W];
-        for (int w = 0; w < W; ++w) {
-          uint64_t add = from[w] & ~result[w];
-          if (add != 0) {
-            result[w] |= add;
-            changed = true;
-          }
-        }
-      });
+      row[w] = stay_right[t * W + w] |
+               UnionOfRows(stay_left + t * LW, LW, exit, W, w);
     }
   }
-  for (int s : scratch_order_) scratch_visited_[s] = 0;
-
-  // Assemble the successor key: R' then the live closure rows.
-  for (int w = 0; w < W; ++w) scratch_key_[w] = 0;
-  ForEachState(key.data(), W, [&](int s) {
-    const uint64_t* row = &rows[static_cast<size_t>(s) * W];
-    for (int w = 0; w < W; ++w) scratch_key_[w] |= row[w];
-  });
-  ForEachState(left_targets_.words().data(), W, [&](int s) {
-    std::copy_n(&rows[static_cast<size_t>(s) * W], W,
-                scratch_key_.begin() + W +
-                    static_cast<size_t>(row_index_[s]) * W);
-  });
-  int id = interner_.InternHashed(scratch_key_, HashWords(scratch_key_));
-  // -1 = B part not interned; resolved lazily by BPartOf should the cached
-  // path ever need it (it will not while the cache stays bailed out).
-  if (id == static_cast<int>(b_of_.size())) b_of_.push_back(-1);
-  return id;
-}
-
-int LazyTableDfa::ComputeStepDirect1(int state, int symbol) {
-  const SymbolMasks& masks = masks_[symbol];
-  const std::vector<uint64_t>& key = interner_.KeyOf(state);
-  const uint64_t* behavior = key.data() + 1;
-  const uint64_t* stay = masks.stay.data();
-  const uint64_t* left = masks.left.data();
-  const uint64_t* right = masks.right.data();
-  uint64_t* one_step = scratch_one_step_.data();
-  uint64_t* rows = scratch_rows_.data();
-
-  // Discovery runs on plain word masks: `discovered` doubles as the visited
-  // set, `pending` as the work queue.
-  scratch_order_.clear();
-  uint64_t discovered = key[0] | left_targets_.words()[0];
-  uint64_t pending = discovered;
-  while (pending != 0) {
-    int s = __builtin_ctzll(pending);
-    pending &= pending - 1;
-    scratch_order_.push_back(s);
-    uint64_t row = stay[s];
-    uint64_t lt = left[s];
-    while (lt != 0) {
-      row |= behavior[row_index_[__builtin_ctzll(lt)]];
-      lt &= lt - 1;
-    }
-    one_step[s] = row;
-    rows[s] = right[s];
-    uint64_t fresh = row & ~discovered;
-    discovered |= fresh;
-    pending |= fresh;
-  }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (size_t i = scratch_order_.size(); i-- > 0;) {
-      int s = scratch_order_[i];
-      uint64_t acc = rows[s];
-      uint64_t bits = one_step[s];
-      while (bits != 0) {
-        acc |= rows[__builtin_ctzll(bits)];
-        bits &= bits - 1;
-      }
-      if (acc != rows[s]) {
-        rows[s] = acc;
-        changed = true;
-      }
-    }
-  }
-  uint64_t reach = 0;
-  uint64_t bits = key[0];
-  while (bits != 0) {
-    reach |= rows[__builtin_ctzll(bits)];
-    bits &= bits - 1;
-  }
-  scratch_key_[0] = reach;
-  uint64_t lt = left_targets_.words()[0];
-  while (lt != 0) {
-    int s = __builtin_ctzll(lt);
-    lt &= lt - 1;
-    scratch_key_[1 + row_index_[s]] = rows[s];
-  }
-  int id = interner_.InternHashed(scratch_key_, HashWords(scratch_key_));
-  if (id == static_cast<int>(b_of_.size())) b_of_.push_back(-1);
-  return id;
-}
-
-const LazyTableDfa::BStep& LazyTableDfa::ComputeBStep(uint64_t cache_key,
-                                                      int b_id, int symbol) {
-  const SymbolMasks& masks = masks_[symbol];
-  const int W = words_per_set_;
-  // B rows of the source part: row r of the compact encoding at r·W.
-  const std::vector<uint64_t>& b_words = b_interner_.KeyOf(b_id);
-  //   one_step[s] = stay targets of s ∪ behavior rows of s's left targets.
-  uint64_t* one_step = scratch_one_step_.data();
-  BStep bs;
-  bs.rows.assign(static_cast<size_t>(n_) * W, 0);
-  for (int s = 0; s < n_; ++s) {
-    uint64_t* row = &one_step[static_cast<size_t>(s) * W];
-    uint64_t* result = &bs.rows[static_cast<size_t>(s) * W];
-    for (int w = 0; w < W; ++w) {
-      row[w] = masks.stay[static_cast<size_t>(s) * W + w];
-      result[w] = masks.right[static_cast<size_t>(s) * W + w];
-    }
-    ForEachState(&masks.left[static_cast<size_t>(s) * W], W, [&](int t) {
-      const uint64_t* behavior =
-          &b_words[static_cast<size_t>(row_index_[t]) * W];
-      for (int w = 0; w < W; ++w) row[w] |= behavior[w];
-    });
-  }
-  // Least fixpoint result[s] = right[s] ∪ ⋃_{t ∈ one_step[s]} result[t],
-  // Gauss-Seidel until stable.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (int s = 0; s < n_; ++s) {
-      uint64_t* result = &bs.rows[static_cast<size_t>(s) * W];
-      ForEachState(&one_step[static_cast<size_t>(s) * W], W, [&](int t) {
-        const uint64_t* from = &bs.rows[static_cast<size_t>(t) * W];
-        for (int w = 0; w < W; ++w) {
-          uint64_t add = from[w] & ~result[w];
-          if (add != 0) {
-            result[w] |= add;
-            changed = true;
-          }
-        }
-      });
-    }
-  }
-  // Successor B part: the closure-result rows of the live states.
-  bs.new_b_words.assign(static_cast<size_t>(num_live_rows_) * W, 0);
-  ForEachState(left_targets_.words().data(), W, [&](int s) {
-    std::copy_n(&bs.rows[static_cast<size_t>(s) * W], W,
-                &bs.new_b_words[static_cast<size_t>(row_index_[s]) * W]);
-  });
-  bs.new_b_id = b_interner_.InternHashed(bs.new_b_words,
-                                         HashWords(bs.new_b_words));
-  int index = static_cast<int>(b_steps_.size());
-  b_steps_.push_back(std::move(bs));
-  b_step_index_.emplace(cache_key, index);
-  return b_steps_[index];
-}
-
-void LazyTableDfa::BuildMasks() {
-  const int W = words_per_set_;
-  masks_.resize(two_way_.num_symbols());
-  for (int symbol = 0; symbol < two_way_.num_symbols(); ++symbol) {
-    SymbolMasks& masks = masks_[symbol];
-    masks.stay.assign(static_cast<size_t>(n_) * W, 0);
-    masks.left.assign(static_cast<size_t>(n_) * W, 0);
-    masks.right.assign(static_cast<size_t>(n_) * W, 0);
-    for (int s = 0; s < n_; ++s) {
-      for (const TwoWayNfa::Transition& t : two_way_.TransitionsOn(s, symbol)) {
-        size_t word = static_cast<size_t>(s) * W + (t.to >> 6);
-        uint64_t bit = uint64_t{1} << (t.to & 63);
-        switch (t.move) {
-          case Move::kStay: masks.stay[word] |= bit; break;
-          case Move::kLeft: masks.left[word] |= bit; break;
-          case Move::kRight: masks.right[word] |= bit; break;
-        }
-      }
-    }
-  }
-  scratch_one_step_.assign(static_cast<size_t>(n_) * W, 0);
-  scratch_rows_.assign(static_cast<size_t>(n_) * W, 0);
-  scratch_key_.assign(static_cast<size_t>(W) * (num_live_rows_ + 1), 0);
-  scratch_order_.reserve(n_);
-  scratch_visited_.assign(n_, 0);
+  return interner_.InternHashed(key_, HashWords(key_));
 }
 
 bool LazyTableDfa::IsAccepting(int state) {
   const std::vector<uint64_t>& key = interner_.KeyOf(state);
   bool reach_accepts = false;
-  for (int i = 0; i < words_per_set_; ++i) {
-    if (key[i] & accepting_states_.words()[i]) {
+  for (int w = 0; w < words_; ++w) {
+    if (key[w] & accepting_[w]) {
       reach_accepts = true;
       break;
     }
@@ -378,7 +271,7 @@ bool LazyTableDfa::IsAccepting(int state) {
 bool LazyTableDfa::IsDead(int state) {
   if (complement_) return false;
   const std::vector<uint64_t>& key = interner_.KeyOf(state);
-  return std::all_of(key.begin(), key.begin() + words_per_set_,
+  return std::all_of(key.begin(), key.begin() + words_,
                      [](uint64_t word) { return word == 0; });
 }
 
@@ -389,8 +282,8 @@ uint64_t LazyTableDfa::SubsumptionPartition(int state) {
   // the searches' bounded cross-partition pool picks up the rest. A hash
   // collision merely merges two buckets; Subsumes stays exact.
   const std::vector<uint64_t>& key = interner_.KeyOf(state);
-  return HashWords(key.data() + words_per_set_,
-                   key.size() - static_cast<size_t>(words_per_set_));
+  return HashWords(key.data() + words_,
+                   key.size() - static_cast<size_t>(words_));
 }
 
 bool LazyTableDfa::Subsumes(int state, int other) {

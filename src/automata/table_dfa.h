@@ -2,12 +2,10 @@
 #define RPQI_AUTOMATA_TABLE_DFA_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "automata/lazy.h"
 #include "automata/two_way.h"
-#include "base/bitset.h"
 #include "base/interner.h"
 
 namespace rpqi {
@@ -34,21 +32,21 @@ namespace rpqi {
 ///
 /// Worst-case state count is 2^(n²+n) for n two-way states; states are
 /// discovered lazily and interned, so only the reachable fragment is paid for.
-/// The per-letter update works directly on the interned key words and is
-/// restricted to the states reachable (via stay/left excursions) from the
-/// rows it must output, which is what makes materializing these automata the
-/// dominant-but-affordable cost of the Theorem 6/7 pipeline.
+/// The stay closure of every (state, symbol) is taken once, in the
+/// constructor; a step then solves a fixpoint over the live B rows only, with
+/// one code path for every word count (DESIGN.md §10).
 class LazyTableDfa : public LazyDfa {
  public:
   explicit LazyTableDfa(const TwoWayNfa& two_way, bool complement = false);
 
-  int NumSymbols() const override { return two_way_.num_symbols(); }
+  int NumSymbols() const override { return num_symbols_; }
   int StartState() override;
   int Step(int state, int symbol) override;
   bool IsAccepting(int state) override;
   int64_t NumDiscoveredStates() const override { return interner_.size(); }
   /// Without complement a state whose reach set R is empty is dead: R' is
-  /// the union of closure rows over R, so it stays empty on every letter.
+  /// built from the closure rows of R's members, so it stays empty on every
+  /// letter.
   bool IsDead(int state) override;
 
   /// Antichain support: the per-letter table update is monotone in the whole
@@ -63,88 +61,47 @@ class LazyTableDfa : public LazyDfa {
   SubsumptionSig SubsumptionSignature(int state) override;
 
  private:
-  // State encoding: [R words | live B row words], where a B row s is live iff
-  // s is the target of some left move (dead rows are never consulted and are
-  // omitted, which merges otherwise-distinct table states).
+  // State encoding: [R words | live B row words]. A B row t is live iff t is
+  // the target of some left move: only a left move ever consults a row, so
+  // dead rows are omitted, which merges otherwise-distinct table states.
   //
-  // The per-letter update factors through the behavior part: the stay/left
-  // closure — and hence both the successor B part and the per-state result
-  // rows that R is pushed through — depends only on (B, symbol), never on R.
-  // Those closures are computed once per distinct (B part, symbol) and
-  // cached (`BStep`); a step then reduces to OR-ing cached rows over R and
-  // splicing in the cached successor B words.
-  //
-  // The cache only amortizes when B parts repeat across states. Some
-  // automata (notably the complemented excess automata of the Theorem 6
-  // pipeline) mint an essentially fresh B part per state, so the full-n
-  // closure a cache fill pays is pure overhead there; once the observed hit
-  // rate shows the cache is not amortizing, ComputeStep switches to a
-  // per-call closure restricted to the rows the step actually needs
-  // (ComputeStepDirect).
+  // A step on letter a from (R, B) first solves, for the live rows t only,
+  //   exit[t] = ⋃_{u ∈ B[t]} stay_right[u]
+  //             ∪ ⋃ { exit[t'] : t' ∈ ⋃_{u ∈ B[t]} stay_left[u] },
+  // the states in which a run that went left into row t leaves the new cell
+  // to the right (it comes back in some u ∈ B[t], takes stay moves, and
+  // either leaves or goes left again). Then
+  //   R'    = stay_right(R) ∪ ⋃_{t ∈ stay_left(R)} exit[t]
+  //   B'[t] = stay_right[t] ∪ ⋃_{t' ∈ stay_left[t]} exit[t'].
+  // Nothing depends on a (B, symbol) pair recurring, so nothing is cached
+  // but the per-(state, symbol) transitions.
   int ComputeStep(int state, int symbol);
 
-  /// Closure summary for one (B part, symbol) pair.
-  struct BStep {
-    std::vector<uint64_t> rows;  // n_ × W: result row of each two-way state
-    std::vector<uint64_t> new_b_words;  // num_live_rows_ × W successor B part
-    int new_b_id;                       // interned id of the successor B part
-  };
-  /// Computes and caches the BStep for (b_id, symbol): one_step[s] = stay
-  /// targets ∪ B rows of left targets, then the least fixpoint
-  /// result[s] = right[s] ∪ ⋃_{t ∈ one_step[s]} result[t] over all states
-  /// (Gauss-Seidel; a dense transitive closure is never materialized).
-  const BStep& ComputeBStep(uint64_t cache_key, int b_id, int symbol);
-  /// Builds the successor state of `state` from a cached/fresh BStep.
-  int ApplyBStep(int state, const BStep& bs);
-  /// Cache-free step: closure computed per call, restricted to the states
-  /// reachable (via stay/left excursions) from the rows the step must output.
-  int ComputeStepDirect(int state, int symbol);
-  /// W == 1 specialization: with ≤ 64 two-way states every row is one word,
-  /// so discovery, the fixpoint, and assembly run on plain word ops with no
-  /// visited array or per-bit callbacks.
-  int ComputeStepDirect1(int state, int symbol);
-  /// Interned B-part id of `state`, resolving the -1 sentinel lazily —
-  /// states minted by ComputeStepDirect never pay for B interning unless the
-  /// cached path later asks for them.
-  int BPartOf(int state);
-  void BuildMasks();
-
-  /// Per-symbol transition masks, row-major: words_per_set_ words per source
-  /// state, one row per two-way state.
-  struct SymbolMasks {
-    std::vector<uint64_t> stay, left, right;
-  };
-
-  TwoWayNfa two_way_;
+  int num_symbols_;
   bool complement_;
-  int n_;                    // number of two-way states
-  int words_per_set_;        // ceil(n/64)
-  Bitset accepting_states_;  // of the two-way automaton
-  Bitset left_targets_;      // states reachable by a left move (live B rows)
-  std::vector<int> row_index_;  // state -> compact key row slot, -1 if dead
+  int n_;                  // number of two-way states
+  int words_;              // ⌈n/64⌉: one state set (R, a B row, exit[t])
   int num_live_rows_ = 0;
+  int live_words_;         // ⌈live rows/64⌉: one set of live rows
+  std::vector<int> live_states_;      // live row -> two-way state
+  std::vector<uint64_t> start_key_;   // R = initial states, B rows empty
+  std::vector<uint64_t> accepting_;   // words_ words: accepting states
+  // Per (symbol, state), symbol-major: the right-move targets (a state set,
+  // words_ words) and the left-move targets (a live-row set, live_words_
+  // words) of the states in the state's reflexive-transitive stay closure.
+  std::vector<uint64_t> stay_right_;
+  std::vector<uint64_t> stay_left_;
   WordVectorInterner interner_;
   // Memoized transitions, indexed state * num_symbols + symbol (-1 = not yet
   // computed). Lazy product states share component states heavily, so this
-  // converts the (expensive) table update into a per-(state, symbol) one-time
-  // cost.
+  // converts the table update into a per-(state, symbol) one-time cost.
   std::vector<int> step_cache_;
-  std::vector<SymbolMasks> masks_;  // per symbol; built on first step
-  // Behavior-part bookkeeping: B parts are interned separately so the
-  // closure cache and subsumption partitions key on a dense int id.
-  WordVectorInterner b_interner_;
-  std::vector<int> b_of_;  // state id -> B part id, -1 = not interned yet
-  std::unordered_map<uint64_t, int> b_step_index_;  // PairKey(b, sym) -> idx
-  std::vector<BStep> b_steps_;
-  int64_t b_step_hits_ = 0;
-  int64_t b_step_misses_ = 0;
-  // Scratch buffers reused across step calls (this class is not thread-safe,
-  // like every lazy automaton).
-  std::vector<uint64_t> scratch_one_step_;  // n_ rows × words_per_set_
-  std::vector<uint64_t> scratch_rows_;      // n_ rows × words_per_set_
-  std::vector<uint64_t> scratch_key_;
-  std::vector<int> scratch_order_;   // closure discovery order
-  std::vector<char> scratch_visited_;  // per two-way state
+  // Step scratch (this class is not thread-safe, like every lazy automaton).
+  std::vector<uint64_t> exit_;    // live row -> state set
+  // Live row -> the live rows it goes left into again; one spare row for
+  // the live rows R goes left into.
+  std::vector<uint64_t> nested_;
+  std::vector<uint64_t> key_;     // successor key under construction
 };
 
 }  // namespace rpqi

@@ -176,6 +176,18 @@ class Bitset {
   mutable bool hash_valid_ = false;
 };
 
+/// Calls fn(i) for every set bit i of a set kept as `count` raw words, in
+/// increasing order: the layout of Bitset::words() and of the word vectors
+/// the lazy automata intern as state keys.
+template <typename Fn>
+inline void ForEachSetBit(const uint64_t* words, size_t count, Fn fn) {
+  for (size_t w = 0; w < count; ++w) {
+    for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      fn(static_cast<int>(w << 6) + __builtin_ctzll(bits));
+    }
+  }
+}
+
 }  // namespace rpqi
 
 #endif  // RPQI_BASE_BITSET_H_

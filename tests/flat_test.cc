@@ -154,7 +154,7 @@ TEST(FlatNfaTest, SubsetStepAllMatchesAPerSymbolScan) {
     }
     std::vector<Bitset> next(flat.num_symbols(), Bitset(flat.NumStates()));
     next[0].Set(0);  // stale scratch must be cleared
-    SubsetStepAll(flat, subset, &next);
+    SubsetStepAll(flat, subset.words(), &next);
     for (int a = 0; a < nfa.num_symbols(); ++a) {
       Bitset expected(nfa.NumStates());
       for (int s = subset.NextSetBit(0); s >= 0; s = subset.NextSetBit(s + 1)) {
@@ -168,7 +168,7 @@ TEST(FlatNfaTest, SubsetStepAllMatchesAPerSymbolScan) {
     for (int s = subset.NextSetBit(0); s >= 0; s = subset.NextSetBit(s + 1)) {
       accepts = accepts || nfa.IsAccepting(s);
     }
-    EXPECT_EQ(SubsetAccepts(flat, subset), accepts);
+    EXPECT_EQ(SubsetAccepts(flat, subset.words()), accepts);
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
 #include "automata/lazy.h"
 #include "automata/nfa.h"
@@ -9,6 +10,7 @@
 #include "automata/random.h"
 #include "automata/table_dfa.h"
 #include "automata/two_way.h"
+#include "base/interner.h"
 
 namespace rpqi {
 namespace {
@@ -135,6 +137,259 @@ TEST(TableDfaTest, ComplementFlipsEveryWord) {
     for (int i = 0; i < 20; ++i) {
       std::vector<int> word = RandomWord(rng, 2, i % 6);
       EXPECT_NE(TableDfaAccepts(accept, word), TableDfaAccepts(reject, word));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// LazyTableDfa against the closure step it replaced.
+
+/// The table translation as LazyTableDfa computed it before the live-row
+/// step: per letter, one_step[s] = stay[s] ∪ ⋃_{t ∈ left[s]} B[t] for every
+/// two-way state s, then the least fixpoint
+/// rows[s] = right[s] ∪ ⋃_{t ∈ one_step[s]} rows[t] (Gauss-Seidel over all
+/// n states), R' = ⋃_{s ∈ R} rows[s] and B'[t] = rows[t] for the live rows
+/// t. Same key layout and interning order, so the ids must agree.
+class ReferenceTableDfa {
+ public:
+  ReferenceTableDfa(const TwoWayNfa& two_way, bool complement)
+      : complement_(complement),
+        n_(two_way.NumStates()),
+        words_((n_ + 63) / 64),
+        row_index_(n_, -1) {
+    auto mask = [&](int symbol, Move move) {
+      std::vector<uint64_t> rows(static_cast<size_t>(n_) * words_, 0);
+      for (int s = 0; s < n_; ++s) {
+        for (const TwoWayNfa::Transition& t :
+             two_way.TransitionsOn(s, symbol)) {
+          if (t.move != move) continue;
+          rows[static_cast<size_t>(s) * words_ + (t.to >> 6)] |=
+              uint64_t{1} << (t.to & 63);
+          if (move == Move::kLeft) row_index_[t.to] = 0;
+        }
+      }
+      return rows;
+    };
+    for (int a = 0; a < two_way.num_symbols(); ++a) {
+      stay_.push_back(mask(a, Move::kStay));
+      left_.push_back(mask(a, Move::kLeft));
+      right_.push_back(mask(a, Move::kRight));
+    }
+    for (int s = 0; s < n_; ++s) {
+      if (row_index_[s] >= 0) row_index_[s] = num_live_rows_++;
+    }
+    std::vector<uint64_t> start(static_cast<size_t>(words_) *
+                                    (num_live_rows_ + 1),
+                                0);
+    for (int s = 0; s < n_; ++s) {
+      if (two_way.IsInitial(s)) start[s >> 6] |= uint64_t{1} << (s & 63);
+      if (two_way.IsAccepting(s)) accepting_.push_back(s);
+    }
+    interner_.Intern(start);
+  }
+
+  int NumDiscoveredStates() const { return interner_.size(); }
+
+  bool IsAccepting(int state) const {
+    const std::vector<uint64_t>& key = interner_.KeyOf(state);
+    bool reach_accepts = false;
+    for (int s : accepting_) {
+      reach_accepts = reach_accepts || ((key[s >> 6] >> (s & 63)) & 1) != 0;
+    }
+    return reach_accepts != complement_;
+  }
+
+  bool IsDead(int state) const {
+    const std::vector<uint64_t>& key = interner_.KeyOf(state);
+    for (int w = 0; w < words_; ++w) {
+      if (key[w] != 0) return false;
+    }
+    return !complement_;
+  }
+
+  int Step(int state, int symbol) {
+    const int W = words_;
+    const std::vector<uint64_t> key = interner_.KeyOf(state);
+    auto word = [W](const std::vector<uint64_t>& rows, int s, int w) {
+      return rows[static_cast<size_t>(s) * W + w];
+    };
+    auto for_each = [](const uint64_t* mask, int words, auto fn) {
+      for (int w = 0; w < words; ++w) {
+        for (uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+          fn((w << 6) + __builtin_ctzll(bits));
+        }
+      }
+    };
+    std::vector<uint64_t> one_step(static_cast<size_t>(n_) * W, 0);
+    std::vector<uint64_t> rows(static_cast<size_t>(n_) * W, 0);
+    for (int s = 0; s < n_; ++s) {
+      for (int w = 0; w < W; ++w) {
+        one_step[static_cast<size_t>(s) * W + w] = word(stay_[symbol], s, w);
+        rows[static_cast<size_t>(s) * W + w] = word(right_[symbol], s, w);
+      }
+      for_each(&left_[symbol][static_cast<size_t>(s) * W], W, [&](int t) {
+        for (int w = 0; w < W; ++w) {
+          one_step[static_cast<size_t>(s) * W + w] |=
+              key[static_cast<size_t>(row_index_[t] + 1) * W + w];
+        }
+      });
+    }
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (int s = 0; s < n_; ++s) {
+        for_each(&one_step[static_cast<size_t>(s) * W], W, [&](int t) {
+          for (int w = 0; w < W; ++w) {
+            uint64_t& to = rows[static_cast<size_t>(s) * W + w];
+            const uint64_t add = word(rows, t, w) & ~to;
+            to |= add;
+            changed = changed || add != 0;
+          }
+        });
+      }
+    }
+    std::vector<uint64_t> next(key.size(), 0);
+    for_each(key.data(), W, [&](int s) {
+      for (int w = 0; w < W; ++w) next[w] |= word(rows, s, w);
+    });
+    for (int s = 0; s < n_; ++s) {
+      if (row_index_[s] < 0) continue;
+      for (int w = 0; w < W; ++w) {
+        next[static_cast<size_t>(row_index_[s] + 1) * W + w] = word(rows, s, w);
+      }
+    }
+    return interner_.Intern(next);
+  }
+
+ private:
+  bool complement_;
+  int n_;
+  int words_;
+  std::vector<int> row_index_;  // state -> live row, -1 if dead
+  int num_live_rows_ = 0;
+  std::vector<int> accepting_;
+  std::vector<std::vector<uint64_t>> stay_, left_, right_;  // per symbol
+  WordVectorInterner interner_;
+};
+
+/// A random two-way automaton whose moves are left with probability
+/// `left`, stay with probability `stay` and right otherwise; with
+/// `stay_cycles`, every symbol also gets a stay cycle through a few states,
+/// so stay closures are longer than one move.
+TwoWayNfa RandomShapedTwoWayNfa(std::mt19937_64& rng, int n, double left,
+                                double stay, bool stay_cycles) {
+  const int kSymbols = 3;
+  TwoWayNfa automaton(kSymbols);
+  for (int s = 0; s < n; ++s) automaton.AddState();
+  std::uniform_int_distribution<int> pick_state(0, n - 1);
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  automaton.SetInitial(0);
+  automaton.SetInitial(pick_state(rng));
+  const double per_target = 1.3 / n;
+  for (int s = 0; s < n; ++s) {
+    automaton.SetAccepting(s, coin(rng) < 0.3);
+    for (int a = 0; a < kSymbols; ++a) {
+      for (int t = 0; t < n; ++t) {
+        if (coin(rng) >= per_target) continue;
+        const double move = coin(rng);
+        automaton.AddTransition(s, a, t,
+                                move < left          ? Move::kLeft
+                                : move < left + stay ? Move::kStay
+                                                     : Move::kRight);
+      }
+    }
+  }
+  if (stay_cycles) {
+    for (int a = 0; a < kSymbols; ++a) {
+      std::vector<int> cycle;
+      for (int i = 0; i < std::min(n, 6); ++i) cycle.push_back(pick_state(rng));
+      for (size_t i = 0; i < cycle.size(); ++i) {
+        automaton.AddTransition(cycle[i], a, cycle[(i + 1) % cycle.size()],
+                                Move::kStay);
+      }
+    }
+  }
+  return automaton;
+}
+
+/// Walks both translations breadth-first (ids are handed out in discovery
+/// order, so expanding ids in order is the walk) over at most `max_states`
+/// states; returns the number of states compared.
+int ExpectSameTableAsReference(const TwoWayNfa& automaton, bool complement,
+                               int max_states) {
+  LazyTableDfa table(automaton, complement);
+  ReferenceTableDfa reference(automaton, complement);
+  EXPECT_EQ(table.StartState(), 0);
+  int state = 0;
+  for (; state < reference.NumDiscoveredStates() && state < max_states;
+       ++state) {
+    EXPECT_EQ(table.IsAccepting(state), reference.IsAccepting(state))
+        << "state " << state;
+    EXPECT_EQ(table.IsDead(state), reference.IsDead(state))
+        << "state " << state;
+    for (int a = 0; a < automaton.num_symbols(); ++a) {
+      const int want = reference.Step(state, a);
+      const int got = table.Step(state, a);
+      if (got != want) {
+        ADD_FAILURE() << "state " << state << " symbol " << a << ": " << got
+                      << " instead of " << want;
+        return state;
+      }
+    }
+  }
+  EXPECT_EQ(table.NumDiscoveredStates(), reference.NumDiscoveredStates());
+  return state;
+}
+
+TEST(TableDfaDifferentialTest, MatchesTheClosureStepStateForState) {
+  struct Shape {
+    const char* name;
+    double left, stay;
+    bool stay_cycles;
+  };
+  const Shape shapes[] = {{"no left moves", 0.0, 0.3, false},
+                          {"sparse left moves", 0.08, 0.2, false},
+                          {"dense left moves", 0.5, 0.2, false},
+                          {"stay cycles", 0.3, 0.3, true}};
+  std::mt19937_64 rng(24);
+  int compared = 0;
+  int large_walks = 0;
+  // n = 63, 64, 65 and 130 put a state set in one, two and three words.
+  for (int n : {1, 5, 12, 24, 63, 64, 65, 130}) {
+    for (const Shape& shape : shapes) {
+      for (bool complement : {false, true}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " " + shape.name +
+                     (complement ? " complement" : ""));
+        TwoWayNfa automaton = RandomShapedTwoWayNfa(
+            rng, n, shape.left, shape.stay, shape.stay_cycles);
+        const int walked =
+            ExpectSameTableAsReference(automaton, complement, 2000);
+        compared += walked;
+        if (walked >= 50) ++large_walks;
+      }
+    }
+  }
+  // The comparison is only worth something on walks past a handful of
+  // states.
+  EXPECT_GE(large_walks, 30) << compared << " states compared";
+}
+
+TEST(TableDfaDifferentialTest, MultiWordTablesMatchSimulation) {
+  std::mt19937_64 rng(25);
+  for (int n : {65, 130}) {
+    for (double left : {0.1, 0.5}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " left=" + std::to_string(left));
+      TwoWayNfa automaton = RandomShapedTwoWayNfa(rng, n, left, 0.25, true);
+      LazyTableDfa table(automaton);
+      int accepted = 0;
+      for (int i = 0; i < 60; ++i) {
+        std::vector<int> word =
+            RandomWord(rng, automaton.num_symbols(), i % 10);
+        const bool accepts = SimulateTwoWay(automaton, word);
+        EXPECT_EQ(TableDfaAccepts(table, word), accepts) << "word " << i;
+        accepted += accepts ? 1 : 0;
+      }
+      EXPECT_GT(accepted, 0);
+      EXPECT_LT(accepted, 60);
     }
   }
 }
