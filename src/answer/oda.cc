@@ -18,6 +18,12 @@ namespace rpqi {
 
 namespace {
 
+/// Before the view context is folded, each view-side part whose reachable
+/// translation fits this many states is materialized and Hopcroft-minimized
+/// (and so is the query part in phase 2); parts beyond it stay lazy.
+/// Minimized parts shrink the product space by orders of magnitude.
+constexpr int64_t kPartMaterializeBudget = int64_t{1} << 22;
+
 /// Disjoint union of two-way automata over the same alphabet (language
 /// union; multi-initial two-way automata are handled by every consumer).
 TwoWayNfa UnionTwoWay(const std::vector<TwoWayNfa>& parts) {
@@ -169,7 +175,7 @@ struct OdaSolver::Impl {
   /// every later probe, so the cost amortizes exactly as before — it is just
   /// no longer paid by solvers whose probes all resolve in the lazy phase.
   /// Every materialization and fold is charged to options.budget. A part
-  /// over part_materialize_budget stays lazy and a fold over max_states
+  /// over kPartMaterializeBudget stays lazy and a fold over max_states
   /// leaves no context, but a budget failure is returned, and the next
   /// probe tries again (and fails at once: budgets are sticky).
   Status EnsureViewContext() {
@@ -177,15 +183,13 @@ struct OdaSolver::Impl {
     std::vector<Dfa> minimized;
     std::vector<LazyDfa*> lazy_parts;
     for (auto& lazy : lazies) {
-      if (options.part_materialize_budget > 0) {
-        StatusOr<Dfa> dfa = MaterializeLazyDfa(
-            lazy.get(), options.part_materialize_budget, options.budget);
-        if (dfa.ok()) {
-          minimized.push_back(Minimize(*dfa));
-          continue;
-        }
-        RPQI_RETURN_IF_ERROR(BudgetCheck(options.budget));
+      StatusOr<Dfa> dfa = MaterializeLazyDfa(
+          lazy.get(), kPartMaterializeBudget, options.budget);
+      if (dfa.ok()) {
+        minimized.push_back(Minimize(*dfa));
+        continue;
       }
+      RPQI_RETURN_IF_ERROR(BudgetCheck(options.budget));
       lazy_parts.push_back(lazy.get());
     }
     if (!minimized.empty()) {
@@ -251,11 +255,10 @@ struct OdaSolver::Impl {
       }
       for (LazyDfa* leftover : leftovers) quick_parts.push_back(leftover);
       quick_parts.push_back(&query_lazy);
-      LazyProductDfa quick_product(quick_parts);
       int64_t quick_budget = std::min<int64_t>(
           options.max_states, view_context.has_value() ? 50000 : 200000);
       EmptinessResult quick =
-          FindAcceptedWord(&quick_product, quick_budget, options.budget);
+          FindAcceptedWord(quick_parts, quick_budget, options.budget);
       if (quick.outcome != EmptinessResult::Outcome::kLimitExceeded) {
         return Finish(c, d, complement_query, std::move(quick));
       }
@@ -273,58 +276,45 @@ struct OdaSolver::Impl {
     obs::Span phase_span("answer.ODA.phase2");
     RPQI_RETURN_IF_ERROR(EnsureViewContext());
     std::optional<Dfa> final_dfa;
-    std::vector<LazyDfa*> product_parts;
-    std::unique_ptr<LazyDfaFromDfa> context_lazy;
-    if (view_context.has_value() && options.part_materialize_budget > 0) {
+    if (view_context.has_value()) {
       StatusOr<Dfa> query_dfa = MaterializeLazyDfa(
-          &query_lazy, options.part_materialize_budget, options.budget);
+          &query_lazy, kPartMaterializeBudget, options.budget);
       if (query_dfa.ok()) {
         Dfa minimized = Minimize(*query_dfa);
         StatusOr<Dfa> folded = FoldIntersection(
             *view_context, {&minimized}, options.max_states, options.budget);
         if (folded.ok()) final_dfa = std::move(folded).value();
       }
-      // Past a budget failure only an overflow falls through to the flat
-      // product below.
+      // Past a budget failure only an overflow falls through to the
+      // unfolded parts below.
       if (!final_dfa.has_value()) {
         RPQI_RETURN_IF_ERROR(BudgetCheck(options.budget));
       }
     }
 
-    EmptinessResult emptiness;
-    if (final_dfa.has_value() && leftovers.empty()) {
-      std::optional<std::vector<int>> witness =
-          ShortestAcceptedWord(DfaToNfa(*final_dfa));
-      if (witness.has_value()) {
-        emptiness.outcome = EmptinessResult::Outcome::kFoundWord;
-        emptiness.witness = std::move(*witness);
-      } else {
-        emptiness.outcome = EmptinessResult::Outcome::kEmpty;
-      }
-      emptiness.states_explored = final_dfa->NumStates();
+    // One search over whatever is left: the folded DFA, or the view context
+    // and the query, or every part, each beside the leftovers.
+    std::vector<LazyDfa*> product_parts;
+    std::unique_ptr<LazyDfaFromDfa> context_lazy;
+    if (final_dfa.has_value()) {
+      context_lazy = std::make_unique<LazyDfaFromDfa>(std::move(*final_dfa));
+      product_parts.push_back(context_lazy.get());
+    } else if (view_context.has_value()) {
+      context_lazy = std::make_unique<LazyDfaFromDfa>(*view_context);
+      product_parts.push_back(context_lazy.get());
+      product_parts.push_back(&query_lazy);
     } else {
-      // Flat lazy product over whatever could not be folded.
-      if (final_dfa.has_value()) {
-        context_lazy = std::make_unique<LazyDfaFromDfa>(*final_dfa);
-        product_parts.push_back(context_lazy.get());
-      } else if (view_context.has_value()) {
-        context_lazy = std::make_unique<LazyDfaFromDfa>(*view_context);
-        product_parts.push_back(context_lazy.get());
-        product_parts.push_back(&query_lazy);
-      } else {
-        for (const auto& lazy : lazies) product_parts.push_back(lazy.get());
-        product_parts.push_back(&query_lazy);
-      }
-      for (LazyDfa* leftover : leftovers) product_parts.push_back(leftover);
-      LazyProductDfa product(product_parts);
-      emptiness = FindAcceptedWord(&product, options.max_states,
-                                   options.budget);
-      if (emptiness.outcome == EmptinessResult::Outcome::kLimitExceeded) {
-        RPQI_RETURN_IF_ERROR(BudgetCheck(options.budget));
-        return Status::ResourceExhausted("A_ODA emptiness exceeded " +
-                                         std::to_string(options.max_states) +
-                                         " states");
-      }
+      for (const auto& lazy : lazies) product_parts.push_back(lazy.get());
+      product_parts.push_back(&query_lazy);
+    }
+    for (LazyDfa* leftover : leftovers) product_parts.push_back(leftover);
+    EmptinessResult emptiness =
+        FindAcceptedWord(product_parts, options.max_states, options.budget);
+    if (emptiness.outcome == EmptinessResult::Outcome::kLimitExceeded) {
+      RPQI_RETURN_IF_ERROR(BudgetCheck(options.budget));
+      return Status::ResourceExhausted("A_ODA emptiness exceeded " +
+                                       std::to_string(options.max_states) +
+                                       " states");
     }
 
     emptiness.states_explored += carried_explored;

@@ -21,12 +21,6 @@ struct OdaOptions {
   /// Optional execution budget (borrowed): deadline / cancellation / state
   /// quota, enforced during both context construction and every probe.
   Budget* budget = nullptr;
-  /// Before running the product, try to materialize and Hopcroft-minimize
-  /// each component automaton whose reachable translation fits this budget;
-  /// components beyond it stay lazy. Minimized components shrink the product
-  /// space by orders of magnitude (ablated in bench_ablation_onthefly).
-  /// Set to 0 to disable (pure on-the-fly mode).
-  int64_t part_materialize_budget = int64_t{1} << 22;
 };
 
 struct OdaResult {

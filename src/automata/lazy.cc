@@ -111,20 +111,15 @@ LazyProductDfa::LazyProductDfa(std::vector<LazyDfa*> parts)
   num_symbols_ = parts_[0]->NumSymbols();
   for (LazyDfa* part : parts_) {
     RPQI_CHECK_EQ(part->NumSymbols(), num_symbols_);
-    if (part->HasSubsumption()) has_subsumption_ = true;
   }
   scratch_key_.resize(parts_.size());
-}
-
-int LazyProductDfa::Intern(const std::vector<uint64_t>& key) {
-  return interner_.Intern(key);
 }
 
 int LazyProductDfa::StartState() {
   for (size_t i = 0; i < parts_.size(); ++i) {
     scratch_key_[i] = static_cast<uint64_t>(parts_[i]->StartState());
   }
-  return Intern(scratch_key_);
+  return interner_.Intern(scratch_key_);
 }
 
 int LazyProductDfa::Step(int state, int symbol) {
@@ -133,25 +128,7 @@ int LazyProductDfa::Step(int state, int symbol) {
     scratch_key_[i] = static_cast<uint64_t>(
         parts_[i]->Step(static_cast<int>(key[i]), symbol));
   }
-  return Intern(scratch_key_);
-}
-
-int LazyProductDfa::StepUnlessDead(int state, int symbol) {
-  const std::vector<uint64_t>& key = interner_.KeyOf(state);
-  for (size_t i = 0; i < parts_.size(); ++i) {
-    const int to = parts_[i]->StepUnlessDead(static_cast<int>(key[i]), symbol);
-    if (to == kDead) return kDead;
-    scratch_key_[i] = static_cast<uint64_t>(to);
-  }
-  return Intern(scratch_key_);
-}
-
-bool LazyProductDfa::IsDead(int state) {
-  const std::vector<uint64_t>& key = interner_.KeyOf(state);
-  for (size_t i = 0; i < parts_.size(); ++i) {
-    if (parts_[i]->IsDead(static_cast<int>(key[i]))) return true;
-  }
-  return false;
+  return interner_.Intern(scratch_key_);
 }
 
 bool LazyProductDfa::IsAccepting(int state) {
@@ -160,47 +137,6 @@ bool LazyProductDfa::IsAccepting(int state) {
     if (!parts_[i]->IsAccepting(static_cast<int>(key[i]))) return false;
   }
   return true;
-}
-
-uint64_t LazyProductDfa::SubsumptionPartition(int state) {
-  const std::vector<uint64_t>& key = interner_.KeyOf(state);
-  uint64_t h = 0;
-  for (size_t i = 0; i < parts_.size(); ++i) {
-    h = HashCombine(h,
-                    parts_[i]->SubsumptionPartition(static_cast<int>(key[i])));
-  }
-  return h;
-}
-
-bool LazyProductDfa::Subsumes(int state, int other) {
-  const std::vector<uint64_t>& a = interner_.KeyOf(state);
-  const std::vector<uint64_t>& b = interner_.KeyOf(other);
-  for (size_t i = 0; i < parts_.size(); ++i) {
-    if (!parts_[i]->Subsumes(static_cast<int>(a[i]), static_cast<int>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
-SubsumptionSig LazyProductDfa::SubsumptionSignature(int state) {
-  // The signature contract survives bitwise OR and any fixed per-part bit
-  // permutation, so each part's signature is rotated and lane-swapped by the
-  // part index before the union — decorrelating parts that would otherwise
-  // pile their bits onto the same positions and blunt the filter.
-  const std::vector<uint64_t>& key = interner_.KeyOf(state);
-  SubsumptionSig signature;
-  for (size_t i = 0; i < parts_.size(); ++i) {
-    SubsumptionSig part =
-        parts_[i]->SubsumptionSignature(static_cast<int>(key[i]));
-    const int r = static_cast<int>((i * 23) & 63);
-    const size_t lane = i & 1;
-    signature.grow[lane] |= std::rotl(part.grow[0], r);
-    signature.grow[lane ^ 1] |= std::rotl(part.grow[1], r);
-    signature.shrink[lane] |= std::rotl(part.shrink[0], r);
-    signature.shrink[lane ^ 1] |= std::rotl(part.shrink[1], r);
-  }
-  return signature;
 }
 
 // ---------------------------------------------------------------------------
@@ -410,8 +346,9 @@ class SubsumptionAntichain {
 
 }  // namespace
 
-EmptinessResult FindAcceptedWord(LazyDfa* dfa, int64_t max_states,
-                                 Budget* budget) {
+EmptinessResult FindAcceptedWordWithNfa(const Nfa& input,
+                                        const std::vector<LazyDfa*>& parts,
+                                        int64_t max_states, Budget* budget) {
   // Flushed once per search (not per state) so the hot loop stays clean.
   static const obs::Counter searches_counter("emptiness.searches");
   static const obs::Counter queued_counter("emptiness.states_queued");
@@ -419,111 +356,6 @@ EmptinessResult FindAcceptedWord(LazyDfa* dfa, int64_t max_states,
   static const obs::Counter checks_counter("emptiness.budget_checks");
   static const obs::Counter dead_cuts_counter("emptiness.dead_cuts");
   obs::Span span("emptiness.search");
-  EmptinessResult result;
-  const int num_symbols = dfa->NumSymbols();
-  const bool use_antichain = dfa->HasSubsumption();
-
-  struct NodeInfo {
-    int parent;
-    int symbol;
-  };
-  std::vector<NodeInfo> info;            // indexed by BFS discovery order
-  std::unordered_map<int, int> discovered;  // state id -> discovery index
-  std::deque<std::pair<int, int>> queue;    // (state id, discovery index)
-  SubsumptionAntichain antichain;
-  auto subsumes = [&](int s, int t) { return dfa->Subsumes(s, t); };
-  auto blocks = [&](int state) {
-    return antichain.Blocks(state, dfa->SubsumptionPartition(state),
-                            dfa->SubsumptionSignature(state), subsumes);
-  };
-  int64_t queued_states = 0;
-  int64_t budget_checks = 0;
-  auto finalize_stats = [&] {
-    result.states_explored = queued_states;
-    result.antichain_size = use_antichain ? antichain.TotalSize() : 0;
-    searches_counter.Increment();
-    queued_counter.Add(queued_states);
-    pruned_counter.Add(result.states_pruned);
-    checks_counter.Add(budget_checks);
-    dead_cuts_counter.Add(result.dead_cuts);
-    span.Note("states_explored", result.states_explored);
-    span.Note("states_pruned", result.states_pruned);
-    span.Note("antichain_size", result.antichain_size);
-    span.Note("dead_cuts", result.dead_cuts);
-  };
-
-  int start = dfa->StartState();
-  discovered[start] = 0;
-  info.push_back({-1, -1});
-  queue.push_back({start, 0});
-  queued_states = 1;
-  if (use_antichain) blocks(start);
-
-  while (!queue.empty()) {
-    ++budget_checks;
-    if (Status budget_status = BudgetCheck(budget); !budget_status.ok()) {
-      result.outcome = EmptinessResult::Outcome::kLimitExceeded;
-      finalize_stats();
-      result.status = std::move(budget_status);
-      return result;
-    }
-    auto [state, index] = queue.front();
-    queue.pop_front();
-    if (dfa->IsAccepting(state)) {
-      std::vector<int> word;
-      for (int i = index; info[i].parent != -1; i = info[i].parent) {
-        word.push_back(info[i].symbol);
-      }
-      std::reverse(word.begin(), word.end());
-      result.outcome = EmptinessResult::Outcome::kFoundWord;
-      result.witness = std::move(word);
-      finalize_stats();
-      return result;
-    }
-    for (int a = 0; a < num_symbols; ++a) {
-      const int to = dfa->StepUnlessDead(state, a);
-      if (to == LazyDfa::kDead) {
-        ++result.dead_cuts;
-        continue;
-      }
-      auto [it, inserted] = discovered.try_emplace(to, -1);
-      if (!inserted) continue;
-      if (use_antichain && blocks(to)) {
-        // Leave the -1 marker: a dominated state is dominated forever.
-        ++result.states_pruned;
-        continue;
-      }
-      it->second = static_cast<int>(info.size());
-      info.push_back({index, a});
-      queue.push_back({to, it->second});
-      ++queued_states;
-      Status charge_status = BudgetCharge(budget, 1);
-      if (queued_states > max_states || !charge_status.ok()) {
-        result.outcome = EmptinessResult::Outcome::kLimitExceeded;
-        finalize_stats();
-        result.status = charge_status.ok()
-                            ? Status::ResourceExhausted(
-                                  "emptiness search exceeded " +
-                                  std::to_string(max_states) + " states")
-                            : std::move(charge_status);
-        return result;
-      }
-    }
-  }
-  result.outcome = EmptinessResult::Outcome::kEmpty;
-  finalize_stats();
-  return result;
-}
-
-EmptinessResult FindAcceptedWordWithNfa(const Nfa& input,
-                                        const std::vector<LazyDfa*>& parts,
-                                        int64_t max_states, Budget* budget) {
-  static const obs::Counter searches_counter("emptiness.searches");
-  static const obs::Counter queued_counter("emptiness.states_queued");
-  static const obs::Counter pruned_counter("emptiness.states_pruned");
-  static const obs::Counter checks_counter("emptiness.budget_checks");
-  static const obs::Counter dead_cuts_counter("emptiness.dead_cuts");
-  obs::Span span("emptiness.search_nfa");
   const Nfa nfa = RemoveEpsilon(input);
   for (LazyDfa* part : parts) {
     RPQI_CHECK_EQ(part->NumSymbols(), nfa.num_symbols());
@@ -593,7 +425,10 @@ EmptinessResult FindAcceptedWordWithNfa(const Nfa& input,
     SubsumptionSig signature;
     const unsigned nfa_bit = static_cast<unsigned>(key[0]) & 127;
     signature.grow[nfa_bit >> 6] |= uint64_t{1} << (nfa_bit & 63);
-    // Same per-part rotation/lane-swap decorrelation as the lazy product.
+    // The contract survives bitwise OR and any fixed per-part bit
+    // permutation, so each part's signature is rotated and lane-swapped by
+    // the part index before the union — decorrelating parts that would
+    // otherwise pile their bits onto the same positions and blunt the filter.
     for (size_t i = 0; i < parts.size(); ++i) {
       SubsumptionSig part =
           parts[i]->SubsumptionSignature(static_cast<int>(key[1 + i]));
@@ -664,9 +499,10 @@ EmptinessResult FindAcceptedWordWithNfa(const Nfa& input,
       next[0] = static_cast<uint64_t>(t.to);
       size_t live_parts = 0;
       for (; live_parts < parts.size(); ++live_parts) {
-        const int part_state = parts[live_parts]->StepUnlessDead(
-            static_cast<int>(key[1 + live_parts]), t.symbol);
-        if (part_state == LazyDfa::kDead) break;
+        LazyDfa* part = parts[live_parts];
+        const int part_state =
+            part->Step(static_cast<int>(key[1 + live_parts]), t.symbol);
+        if (part->IsDead(part_state)) break;
         next[1 + live_parts] = static_cast<uint64_t>(part_state);
       }
       if (live_parts < parts.size()) {
@@ -701,6 +537,13 @@ EmptinessResult FindAcceptedWordWithNfa(const Nfa& input,
   result.outcome = EmptinessResult::Outcome::kEmpty;
   finalize_stats();
   return result;
+}
+
+EmptinessResult FindAcceptedWord(const std::vector<LazyDfa*>& parts,
+                                 int64_t max_states, Budget* budget) {
+  RPQI_CHECK(!parts.empty());
+  return FindAcceptedWordWithNfa(UniversalNfa(parts[0]->NumSymbols()), parts,
+                                 max_states, budget);
 }
 
 StatusOr<Dfa> MaterializeLazyDfa(LazyDfa* dfa, int64_t max_states,

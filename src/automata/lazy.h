@@ -21,8 +21,8 @@ namespace rpqi {
 /// must satisfy grow(b) ⊆ grow(a) (monotone) and shrink(a) ⊆ shrink(b)
 /// (antitone), lanewise, where x ⊆ y means (x & ~y) == 0 per lane word.
 /// Both conditions compose under bitwise OR, and any fixed bit permutation
-/// (rotation, lane swap) preserves them — which is how product automata
-/// combine their parts' signatures without piling every part onto the same
+/// (rotation, lane swap) preserves them — which is how the emptiness search
+/// combines its parts' signatures without piling every part onto the same
 /// bits. Inclusion-ordered automata spread an OR-fold of their state words
 /// across the grow lanes (or the shrink lanes when complemented, where the
 /// subsumption direction flips); per-word rotations keep distinct key words
@@ -50,33 +50,27 @@ class LazyDfa {
   /// Number of states discovered so far (for stats/ablation benches).
   virtual int64_t NumDiscoveredStates() const = 0;
 
-  /// Dead-part cut support for the emptiness searches. IsDead(state) may be
+  /// Dead-part cut support for the emptiness search. IsDead(state) may be
   /// true only if `state` accepts no word, so that every successor of a dead
-  /// state is dead too; the default, false, is always sound.
-  /// StepUnlessDead returns Step's successor, or kDead when that successor
-  /// is dead. A product steps its parts in order and stops at the first dead
-  /// one, so a dead tuple is never interned.
-  static constexpr int kDead = -1;
+  /// state is dead too; the default, false, is always sound. The search
+  /// steps its parts in order and stops at the first part whose successor
+  /// is dead, so a dead tuple is never interned.
   virtual bool IsDead(int /*state*/) { return false; }
-  virtual int StepUnlessDead(int state, int symbol) {
-    const int to = Step(state, symbol);
-    return IsDead(to) ? kDead : to;
-  }
 
-  /// Antichain ("subsumption") support for the emptiness searches. When
+  /// Antichain ("subsumption") support for the emptiness search. When
   /// HasSubsumption() is true, Subsumes(state, other) must imply
   /// L(other) ⊆ L(state) — L(q) being the language accepted when starting
   /// from q — and must be sound for ANY pair of discovered states.
   /// SubsumptionPartition() is a performance hint: states likely to dominate
-  /// each other should share a partition, and the searches scan a state's
+  /// each other should share a partition, and the search scans a state's
   /// own partition exhaustively while comparing across partitions only
-  /// opportunistically — but they are free to call Subsumes on any pair.
-  /// FindAcceptedWord may then discard a newly discovered state as soon as an
-  /// already-queued state subsumes it: the dominator accepts every word the
-  /// discarded state would, and was discovered no later (BFS), so the verdict
-  /// and the shortest-witness length are both preserved. The defaults (each
-  /// state alone in its partition, reflexive subsumption) leave every search
-  /// exhaustive.
+  /// opportunistically — but it is free to call Subsumes on any pair.
+  /// The search may then discard a newly discovered tuple as soon as an
+  /// already-queued tuple subsumes it part by part: the dominator accepts
+  /// every word the discarded tuple would, and was discovered no later
+  /// (BFS), so the verdict and the shortest-witness length are both
+  /// preserved. The defaults (each state alone in its partition, reflexive
+  /// subsumption) leave the search exhaustive in that part.
   virtual bool HasSubsumption() const { return false; }
   virtual uint64_t SubsumptionPartition(int state) {
     return static_cast<uint64_t>(state);
@@ -142,6 +136,9 @@ class LazySubsetDfa : public LazyDfa {
 
 /// Conjunctive product of lazy automata: accepts iff every part accepts.
 /// All parts must share the alphabet size. Parts are borrowed, not owned.
+/// This is the product to materialize (MaterializeLazyDfa) or to wrap
+/// (LazyImageSubsetDfa); FindAcceptedWord takes the parts themselves and
+/// interns its own tuples.
 class LazyProductDfa : public LazyDfa {
  public:
   explicit LazyProductDfa(std::vector<LazyDfa*> parts);
@@ -151,24 +148,10 @@ class LazyProductDfa : public LazyDfa {
   int Step(int state, int symbol) override;
   bool IsAccepting(int state) override;
   int64_t NumDiscoveredStates() const override { return interner_.size(); }
-  /// A tuple with a dead part is dead.
-  bool IsDead(int state) override;
-  int StepUnlessDead(int state, int symbol) override;
-
-  /// Componentwise subsumption: a product state dominates another when every
-  /// part dominates the corresponding part (parts without native subsumption
-  /// contribute plain equality, which is trivially sound).
-  bool HasSubsumption() const override { return has_subsumption_; }
-  uint64_t SubsumptionPartition(int state) override;
-  bool Subsumes(int state, int other) override;
-  SubsumptionSig SubsumptionSignature(int state) override;
 
  private:
-  int Intern(const std::vector<uint64_t>& key);
-
   std::vector<LazyDfa*> parts_;
   int num_symbols_;
-  bool has_subsumption_ = false;
   WordVectorInterner interner_;
   std::vector<uint64_t> scratch_key_;  // reused across Step calls
 };
@@ -219,9 +202,9 @@ struct EmptinessResult {
   Outcome outcome;
   std::vector<int> witness;  // a shortest accepted word when kFoundWord
   int64_t states_explored = 0;
-  /// Antichain accounting (zero when the automaton has no subsumption):
-  /// frontier states discarded because a queued state subsumed them, and the
-  /// number of live antichain members when the search stopped.
+  /// Antichain accounting (zero when no part has subsumption): frontier
+  /// tuples discarded because a queued tuple subsumed them, and the number
+  /// of live antichain members when the search stopped.
   int64_t states_pruned = 0;
   int64_t antichain_size = 0;
   /// Successors dropped because a part stepped into a dead state.
@@ -231,30 +214,32 @@ struct EmptinessResult {
   Status status;
 };
 
-/// BFS over the lazy automaton, stopping at the first accepting state (which
-/// yields a shortest witness) or after `max_states` distinct states. `budget`
-/// (optional) adds deadline/cancellation enforcement and state accounting;
-/// budget exhaustion surfaces as kLimitExceeded with the code in `status`.
-/// When the automaton advertises subsumption (see LazyDfa::HasSubsumption),
-/// dominated frontier states are pruned against an antichain of queued
-/// states, which usually decides universality/containment-style checks
-/// without materializing the determinized state space. A successor that
-/// LazyDfa::StepUnlessDead reports dead is dropped before it is interned,
-/// compared, queued or charged; it accepts nothing, so neither the verdict
-/// nor the BFS order of the live states changes.
-EmptinessResult FindAcceptedWord(LazyDfa* dfa, int64_t max_states,
-                                 Budget* budget = nullptr);
-
 /// Emptiness of L(nfa) ∩ ⋂ L(parts) without determinizing the NFA: BFS over
-/// (NFA state, part states) tuples. Use when one intersection component is a
-/// genuinely nondeterministic automaton whose subset construction would blow
-/// up (e.g. the certificate NFAs of Theorem 17). The parts are stepped in
-/// order, and a tuple is dropped at the first part that steps into a dead
-/// state, as in FindAcceptedWord.
+/// interned (NFA state, part states) tuples, stopping at the first accepting
+/// tuple (which yields a shortest witness) or after `max_states` queued
+/// tuples. Use when one intersection component is a genuinely
+/// nondeterministic automaton whose subset construction would blow up (e.g.
+/// the certificate NFAs of Theorem 17). `budget` (optional) adds
+/// deadline/cancellation enforcement and state accounting; budget
+/// exhaustion surfaces as kLimitExceeded with the code in `status`.
+/// When a part advertises subsumption (see LazyDfa::HasSubsumption), a new
+/// tuple dominated by a queued one — same NFA state, every part subsuming —
+/// is pruned against an antichain, which usually decides
+/// universality/containment-style checks without materializing the
+/// determinized state space. Each NFA transition steps the parts in order,
+/// and the tuple is dropped, before it is interned, compared, queued or
+/// charged, at the first part whose successor is dead (LazyDfa::IsDead); it
+/// accepts nothing, so neither the verdict nor the BFS order of the live
+/// tuples changes.
 EmptinessResult FindAcceptedWordWithNfa(const Nfa& nfa,
                                         const std::vector<LazyDfa*>& parts,
                                         int64_t max_states,
                                         Budget* budget = nullptr);
+
+/// Emptiness of the conjunctive product of `parts` (at least one, sharing
+/// the alphabet size): FindAcceptedWordWithNfa with the one-state NFA of Σ*.
+EmptinessResult FindAcceptedWord(const std::vector<LazyDfa*>& parts,
+                                 int64_t max_states, Budget* budget = nullptr);
 
 /// Materializes the reachable fragment into an explicit DFA; fails with
 /// ResourceExhausted beyond `max_states` (or the budget's deadline /

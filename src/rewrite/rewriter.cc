@@ -338,8 +338,8 @@ StatusOr<bool> IsWordInMaximalRewritingWithBudget(
   TwoWayNfa a1 = BuildA1(query, alphabet);
   LazySubsetDfa w_dfa(w);
   LazyTableDfa not_a1(a1, /*complement=*/true);
-  LazyProductDfa product({&w_dfa, &not_a1});
-  EmptinessResult result = FindAcceptedWord(&product, max_states, budget);
+  EmptinessResult result =
+      FindAcceptedWord({&w_dfa, &not_a1}, max_states, budget);
   if (result.outcome == EmptinessResult::Outcome::kLimitExceeded) {
     return result.status;
   }
@@ -370,7 +370,7 @@ StatusOr<bool> MaximalRewritingNonEmpty(const Nfa& query,
                             2 * alphabet.num_views, /*complement=*/true);
 
   EmptinessResult result =
-      FindAcceptedWord(&not_a4, options.max_subset_states, options.budget);
+      FindAcceptedWord({&not_a4}, options.max_subset_states, options.budget);
   if (result.outcome == EmptinessResult::Outcome::kLimitExceeded) {
     return result.status;
   }

@@ -24,10 +24,9 @@ StatusOr<bool> RpqiContainedWithBudget(const Nfa& q1, const Nfa& q2,
 
   LazySubsetDfa left_dfa(left);
   LazyTableDfa not_satisfies(satisfies_q2, /*complement=*/true);
-  LazyProductDfa product({&left_dfa, &not_satisfies});
 
-  EmptinessResult result =
-      FindAcceptedWord(&product, /*max_states=*/int64_t{1} << 24, budget);
+  EmptinessResult result = FindAcceptedWord(
+      {&left_dfa, &not_satisfies}, /*max_states=*/int64_t{1} << 24, budget);
   if (result.outcome == EmptinessResult::Outcome::kLimitExceeded) {
     if (!result.status.ok()) return result.status;
     return Status::ResourceExhausted("containment check exceeded its state budget");

@@ -269,7 +269,7 @@ TEST(LazyProductDfaTest, ConjunctionOfParts) {
 TEST(FindAcceptedWordTest, FindsShortestWitness) {
   Nfa nfa = FromRegex("a a a | a b");
   LazySubsetDfa lazy(nfa);
-  EmptinessResult result = FindAcceptedWord(&lazy, 1000);
+  EmptinessResult result = FindAcceptedWord({&lazy}, 1000);
   ASSERT_EQ(result.outcome, EmptinessResult::Outcome::kFoundWord);
   EXPECT_EQ(result.witness.size(), 2u);
   EXPECT_TRUE(Accepts(nfa, result.witness));
@@ -278,7 +278,7 @@ TEST(FindAcceptedWordTest, FindsShortestWitness) {
 TEST(FindAcceptedWordTest, ReportsEmpty) {
   Nfa nfa = FromRegex("%empty");
   LazySubsetDfa lazy(nfa);
-  EXPECT_EQ(FindAcceptedWord(&lazy, 1000).outcome,
+  EXPECT_EQ(FindAcceptedWord({&lazy}, 1000).outcome,
             EmptinessResult::Outcome::kEmpty);
 }
 
