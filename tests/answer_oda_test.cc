@@ -424,6 +424,47 @@ TEST(OdaSolverTest, ViewContextIsChargedToTheRequestBudget) {
   EXPECT_EQ(again.status().code(), Status::Code::kResourceExhausted);
 }
 
+TEST(OdaSolverTest, FoldedPhaseTwoSearchIsChargedToTheRequestBudget) {
+  // With a 64-state cap, phase 1 overflows on the possible answer (1,0),
+  // and phase 2 folds the view context and the query into one DFA. The
+  // emptiness search decides that DFA like any other part list, so its
+  // queued states are charged to the request budget as well.
+  Builder builder(2, "p");
+  builder.AddView("p", {{0, 1}}, ViewAssumption::kSound);
+  OdaOptions options;
+  options.max_states = 64;
+  Budget unlimited;
+  options.budget = &unlimited;
+  obs::MetricsSnapshot before = obs::TakeMetricsSnapshot();
+  StatusOr<OdaResult> result =
+      PossibleAnswerOda(builder.instance, 1, 0, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->certain);
+  obs::MetricsSnapshot delta = obs::TakeMetricsSnapshot().DeltaSince(before);
+  ASSERT_EQ(delta.CounterValue("oda.phase1_overflows"), 1);
+  ASSERT_EQ(delta.CounterValue("emptiness.searches"), 2);
+  const int64_t materializations = delta.CounterValue("materialize.runs");
+
+  // A quota one state short of the probe's total covers phase 1, every
+  // materialization and fold, and all but the last state of the final
+  // search, which then ends the probe with the budget's own status.
+  const int64_t quota_states = unlimited.states_charged() - 1;
+  Budget quota;
+  quota.set_max_states(quota_states);
+  options.budget = &quota;
+  before = obs::TakeMetricsSnapshot();
+  StatusOr<OdaResult> over = PossibleAnswerOda(builder.instance, 1, 0, options);
+  delta = obs::TakeMetricsSnapshot().DeltaSince(before);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), Status::Code::kResourceExhausted);
+  EXPECT_NE(over.status().message().find("state quota of " +
+                                         std::to_string(quota_states)),
+            std::string::npos)
+      << over.status().ToString();
+  EXPECT_EQ(delta.CounterValue("materialize.runs"), materializations);
+  EXPECT_EQ(delta.CounterValue("emptiness.searches"), 2);
+}
+
 TEST(OdaSolverTest, Table1ChainProbesCutDeadParts) {
   // The 2-object rows of Table 1 (bench_table1_data): one view p over the
   // chain 0 -> 1, sound, exact, or sound beside a complete view p p with an
